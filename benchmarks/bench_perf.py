@@ -1,12 +1,13 @@
-"""Hot-path performance guard: closure memoization and slice folding.
+"""Hot-path performance guard: CubeMiner work counters and slice folding.
 
-The performance layer makes two machine-portable promises:
+The performance layer pins CubeMiner's work and makes two
+machine-portable speed promises:
 
-* **CubeMiner memoization** — the zero-witness closure cache
-  (:class:`repro.core.closure.ClosureCache`) must keep the memoized run
-  at least ``memo_speedup_floor`` times faster than the same run with
-  the cache disabled, while producing the *bit-identical* cube list
-  (the bench asserts equality on every pair);
+* **CubeMiner** — the run on the large synthetic workload is timed and
+  its work counters (nodes, leaves, cubes, and the lane-union memo's
+  hits/misses) are exact-matched; every repeat must produce the
+  *bit-identical* cube list.  Its Lemma 4-5 checks have no off switch
+  to race against, so this series gates no ratio;
 * **RSM prefix folding** — the incremental per-size slice enumeration
   (:func:`repro.rsm.slices.iter_size_slices`) must stay at least
   ``fold_speedup_floor`` times faster than the one-shot fold of
@@ -16,7 +17,7 @@ The performance layer makes two machine-portable promises:
 Absolute seconds vary wildly across CI runners, so the committed
 baseline (``BENCH_perf.json``) gates only quantities that do not:
 
-* **work counters** (nodes visited, leaves, cubes, cache hits/misses,
+* **work counters** (nodes visited, leaves, cubes, memo hits/misses,
   slices mined, 2D patterns) are exact-matched — they are functions of
   the seeded workload alone, identical on every machine and kernel, so
   any drift means the algorithm changed and the baseline must be
@@ -60,7 +61,6 @@ SCHEMA_VERSION = 1
 
 #: Ratio gates: machine-portable floors the measured speedups must
 #: clear (before tolerance is applied to the baseline ratios).
-MEMO_SPEEDUP_FLOOR = 1.3
 FOLD_SPEEDUP_FLOOR = 1.2
 #: The shared-memory hand-off must beat the pickled-dataset hand-off.
 #: Attach latency is far more machine-variable than the algorithmic
@@ -95,29 +95,16 @@ def _rsm_workload(kernel: str):
 
 
 def _measure_cubeminer(kernel: str, repeats: int) -> dict:
-    """Interleaved uncached/cached CubeMiner pairs; asserts parity."""
+    """Repeated CubeMiner runs: best time, exact counters; asserts parity."""
     dataset, thresholds = _cubeminer_workload(kernel)
-
-    def run(cache_spec):
-        start = time.process_time()
-        result = cubeminer_mine(dataset, thresholds, closure_cache=cache_spec)
-        return time.process_time() - start, result
-
-    run(0)  # warm both paths
-    run(None)
-    off_times, on_times, ratios = [], [], []
-    reference = None
+    reference = cubeminer_mine(dataset, thresholds)  # warm up
+    times = []
     for _ in range(repeats):
-        off_seconds, off_result = run(0)
-        on_seconds, on_result = run(None)
-        if off_result.cubes != on_result.cubes:
-            raise AssertionError(
-                "memoized CubeMiner produced a different cube list"
-            )
-        reference = on_result
-        off_times.append(off_seconds)
-        on_times.append(on_seconds)
-        ratios.append(off_seconds / on_seconds)
+        start = time.process_time()
+        result = cubeminer_mine(dataset, thresholds)
+        times.append(time.process_time() - start)
+        if result.cubes != reference.cubes:
+            raise AssertionError("repeated CubeMiner runs differ in cube list")
     metrics = reference.stats.metrics
     return {
         "counters": {
@@ -127,9 +114,7 @@ def _measure_cubeminer(kernel: str, repeats: int) -> dict:
             "closure_cache_hits": metrics.closure_cache_hits,
             "closure_cache_misses": metrics.closure_cache_misses,
         },
-        "uncached_seconds": min(off_times),
-        "cached_seconds": min(on_times),
-        "memo_speedup": statistics.median(ratios),
+        "mine_seconds": min(times),
     }
 
 
@@ -284,23 +269,16 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
                 "dataset": "large_synthetic_bench()",
                 "thresholds": list(_CUBEMINER_THRESHOLDS.as_tuple()),
                 "counters": counters["cubeminer-memoization"],
-                "gates": {"memo_speedup_floor": MEMO_SPEEDUP_FLOOR},
-                # The cache trades a dict lookup for a closure
-                # computation; under the native backend the closure is
-                # cheaper than the lookup, so the ratio promise only
-                # holds where memoization is actually profitable (the
-                # native backend's own floor lives in bench_kernels.py:
-                # >= 1.5x over numpy on the raw fold primitive).
-                "gate_kernels": ["numpy", "python-int"],
+                "gates": {},
             },
             "rsm-prefix-fold": {
                 "dataset": "synthetic_heights_bench(12)",
                 "min_h": _RSM_MIN_H,
                 "counters": counters["rsm-prefix-fold"],
                 "gates": {"fold_speedup_floor": FOLD_SPEEDUP_FLOOR},
-                # Same story: incremental folding amortizes per-slice
-                # AND cost, which the native backend has already driven
-                # below the bookkeeping overhead.
+                # Incremental folding amortizes per-slice AND cost,
+                # which the native backend has already driven below the
+                # bookkeeping overhead.
                 "gate_kernels": ["numpy", "python-int"],
             },
             "parallel-shm": {
@@ -321,9 +299,7 @@ def make_baseline(repeats: int, kernels: list[str] | None = None) -> dict:
         "kernels": {
             kernel: {
                 "cubeminer-memoization": {
-                    "uncached_seconds": round(s["cubeminer-memoization"]["uncached_seconds"], 4),
-                    "cached_seconds": round(s["cubeminer-memoization"]["cached_seconds"], 4),
-                    "memo_speedup": round(s["cubeminer-memoization"]["memo_speedup"], 3),
+                    "mine_seconds": round(s["cubeminer-memoization"]["mine_seconds"], 4),
                 },
                 "rsm-prefix-fold": {
                     "oneshot_seconds": round(s["rsm-prefix-fold"]["oneshot_seconds"], 4),
@@ -390,12 +366,11 @@ def check_against_baseline(
 def _print_series(kernel: str, series: dict) -> None:
     cm = series["cubeminer-memoization"]
     rsm = series["rsm-prefix-fold"]
-    print(f"[{kernel}] cubeminer : uncached {cm['uncached_seconds'] * 1e3:8.1f} ms"
-          f" cached {cm['cached_seconds'] * 1e3:8.1f} ms"
-          f" memo speedup {cm['memo_speedup']:.2f}x"
+    print(f"[{kernel}] cubeminer : mine {cm['mine_seconds'] * 1e3:8.1f} ms"
           f" ({cm['counters']['nodes_visited']} nodes,"
           f" {cm['counters']['n_cubes']} cubes,"
-          f" {cm['counters']['closure_cache_hits']} cache hits)")
+          f" {cm['counters']['closure_cache_misses']} lane unions built,"
+          f" {cm['counters']['closure_cache_hits']} memo hits)")
     print(f"[{kernel}] rsm       : one-shot {rsm['oneshot_seconds'] * 1e3:8.1f} ms"
           f" incremental {rsm['incremental_seconds'] * 1e3:8.1f} ms"
           f" fold speedup {rsm['fold_speedup']:.2f}x"
@@ -460,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
         for kernel in payload["kernels"]:
             print(f"{kernel}: "
-                  f"memo {payload['kernels'][kernel]['cubeminer-memoization']['memo_speedup']}x, "
+                  f"cubeminer {payload['kernels'][kernel]['cubeminer-memoization']['mine_seconds']}s, "
                   f"fold {payload['kernels'][kernel]['rsm-prefix-fold']['fold_speedup']}x")
         print(f"baseline written to {args.baseline}")
         return 0

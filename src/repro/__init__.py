@@ -33,7 +33,7 @@ from .obs import (
 )
 from .options import CubeMinerOptions, ParallelOptions, ReferenceOptions, RSMOptions
 
-__version__ = "2.2.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "mine",

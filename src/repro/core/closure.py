@@ -18,13 +18,12 @@ runs on the dataset's kernel backend (:mod:`repro.core.kernels`).
 
 from __future__ import annotations
 
-from .bitset import full_mask, is_subset, iter_bits
+from .bitset import is_subset
 from .cube import Cube
 from .dataset import Dataset3D
 
 __all__ = [
     "ClosureCache",
-    "resolve_closure_cache",
     "column_support",
     "row_support",
     "height_support",
@@ -34,53 +33,29 @@ __all__ = [
 ]
 
 #: Default entry budget for :class:`ClosureCache` — comfortably above the
-#: ``l + n`` witness entries any dataset needs plus the support queries a
-#: typical run issues, so eviction only triggers under an explicit bound.
+#: support queries a typical run issues, so eviction only triggers under
+#: an explicit bound.
 DEFAULT_CACHE_ENTRIES = 1 << 16
 
 
 class ClosureCache:
-    """Bounded memoization for closure work, keyed on (axis, fingerprint).
+    """Bounded memoization of the support operators.
 
-    Two families of entries share one entry budget:
+    Entries are keyed by an axis tag and the opposing pair of set
+    fingerprints, memoizing the full ``H(R' x C')`` / ``R(H' x C')`` /
+    ``C(H' x R')`` support sets, so repeated closures over one dataset
+    (:func:`close`, :func:`is_closed_cube`) reuse each other's work.
 
-    * **Zero-witness entries** — keyed by an axis tag and the atom of one
-      element outside a node.  CubeMiner's closure checks (Lemmas 4-5)
-      ask, per outside element, "does it have a zero inside the node
-      region?".  The exact node regions almost never repeat down the
-      splitting tree, but the *witness* — the grid cell proving the
-      answer was yes — survives nearly every region shrink, so the entry
-      stores the last witness and revalidates it against the current
-      region in O(1) bit operations.  A stale witness is recomputed and
-      replaced (a miss); a missing element (no zero in the region) makes
-      the check fail.
-    * **Support entries** — keyed by an axis tag and the opposing pair of
-      set fingerprints, memoizing the full ``H(R' x C')`` / ``R(H' x
-      C')`` / ``C(H' x R')`` support sets for the closure operators.
-
-    Eviction is FIFO (oldest entry of the family being inserted into),
-    so a bounded cache degrades to recomputation — never to different
-    answers.  ``hits`` / ``misses`` / ``evictions`` counters are folded
-    into :class:`~repro.obs.metrics.MiningMetrics` by the miners.
+    Eviction is FIFO (oldest entry first), so a bounded cache degrades to
+    recomputation — never to different answers.  ``hits`` / ``misses`` /
+    ``evictions`` count the cache's own lookups.
 
     A cache binds lazily to the first dataset it serves and rebinds
     (dropping all entries) when handed a different one, so a run-scoped
     cache needs no explicit setup.
     """
 
-    __slots__ = (
-        "max_entries",
-        "hits",
-        "misses",
-        "evictions",
-        "_dataset",
-        "_zeros",
-        "_full_heights",
-        "_full_rows",
-        "_height_witness",
-        "_row_witness",
-        "_supports",
-    )
+    __slots__ = ("max_entries", "hits", "misses", "evictions", "_dataset", "_supports")
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         if max_entries < 1:
@@ -90,135 +65,36 @@ class ClosureCache:
         self.misses = 0
         self.evictions = 0
         self._dataset: Dataset3D | None = None
-        self._zeros: list[list[int]] = []
-        self._full_heights = 0
-        self._full_rows = 0
-        self._height_witness: dict[int, int] = {}
-        self._row_witness: dict[int, int] = {}
         self._supports: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _bind(self, dataset: Dataset3D) -> None:
-        universe = full_mask(dataset.n_columns)
-        ones = dataset.ones_masks()
-        self._zeros = [
-            [universe & ~mask for mask in per_height] for per_height in ones
-        ]
-        self._full_heights = full_mask(dataset.n_heights)
-        self._full_rows = full_mask(dataset.n_rows)
-        self._height_witness.clear()
-        self._row_witness.clear()
-        self._supports.clear()
-        self._dataset = dataset
-
     def clear(self) -> None:
         """Drop every entry (counters keep accumulating)."""
-        self._height_witness.clear()
-        self._row_witness.clear()
         self._supports.clear()
 
     def __len__(self) -> int:
-        return (
-            len(self._height_witness)
-            + len(self._row_witness)
-            + len(self._supports)
-        )
-
-    def counters(self) -> tuple[int, int, int]:
-        """Snapshot of ``(hits, misses, evictions)`` — for delta folding."""
-        return (self.hits, self.misses, self.evictions)
-
-    def _make_room(self, target: dict) -> None:
-        """Evict one oldest entry before inserting a new key into ``target``."""
-        if len(self) < self.max_entries:
-            return
-        for entries in (target, self._height_witness, self._row_witness, self._supports):
-            if entries:
-                entries.pop(next(iter(entries)))
-                self.evictions += 1
-                return
-
-    # ------------------------------------------------------------------
-    # Witness-backed closure checks (Lemmas 4-5 / Lemma 1)
-    # ------------------------------------------------------------------
-    def height_set_closed(
-        self, dataset: Dataset3D, heights: int, rows: int, columns: int
-    ) -> bool:
-        """Hcheck: True when no height outside ``heights`` covers R' x C'."""
-        if self._dataset is not dataset:
-            self._bind(dataset)
-        zeros = self._zeros
-        witness = self._height_witness
-        hit = miss = 0
-        closed = True
-        for k in iter_bits(self._full_heights & ~heights):
-            w = witness.get(k)
-            if w is not None and rows >> w & 1 and zeros[k][w] & columns:
-                hit += 1
-                continue
-            miss += 1
-            per_height = zeros[k]
-            for i in iter_bits(rows):
-                if per_height[i] & columns:
-                    if w is None:
-                        self._make_room(witness)
-                    witness[k] = i
-                    break
-            else:
-                # Height k has no zero in R' x C': it supports the node,
-                # so the node can never become height-closed.
-                closed = False
-                break
-        self.hits += hit
-        self.misses += miss
-        return closed
-
-    def row_set_closed(
-        self, dataset: Dataset3D, heights: int, rows: int, columns: int
-    ) -> bool:
-        """Rcheck: True when no row outside ``rows`` covers H' x C'."""
-        if self._dataset is not dataset:
-            self._bind(dataset)
-        zeros = self._zeros
-        witness = self._row_witness
-        hit = miss = 0
-        closed = True
-        for i in iter_bits(self._full_rows & ~rows):
-            w = witness.get(i)
-            if w is not None and heights >> w & 1 and zeros[w][i] & columns:
-                hit += 1
-                continue
-            miss += 1
-            for k in iter_bits(heights):
-                if zeros[k][i] & columns:
-                    if w is None:
-                        self._make_room(witness)
-                    witness[i] = k
-                    break
-            else:
-                closed = False
-                break
-        self.hits += hit
-        self.misses += miss
-        return closed
+        return len(self._supports)
 
     # ------------------------------------------------------------------
     # Memoized support operators
     # ------------------------------------------------------------------
     def _memoized(self, dataset: Dataset3D, key: tuple, compute) -> int:
-        if self._dataset is not dataset:
-            self._bind(dataset)
         supports = self._supports
+        if self._dataset is not dataset:
+            supports.clear()
+            self._dataset = dataset
         value = supports.get(key)
         if value is not None:
             self.hits += 1
             return value
         self.misses += 1
         value = compute()
-        if key not in supports:
-            self._make_room(supports)
+        if len(supports) >= self.max_entries:
+            # Evict the oldest entry (FIFO).
+            supports.pop(next(iter(supports)))
+            self.evictions += 1
         supports[key] = value
         return value
 
@@ -255,25 +131,6 @@ class ClosureCache:
             f"hits={self.hits}, misses={self.misses}, "
             f"evictions={self.evictions})"
         )
-
-
-def resolve_closure_cache(
-    spec: "ClosureCache | int | None", *, default_entries: int = DEFAULT_CACHE_ENTRIES
-) -> ClosureCache | None:
-    """Normalize a miner's ``closure_cache`` argument.
-
-    ``None`` builds a fresh default cache (memoization is on by
-    default), a positive int bounds a fresh cache to that many entries,
-    ``0`` (or any non-positive int) disables caching, and a
-    :class:`ClosureCache` instance is used as-is (sharing/pre-warming).
-    """
-    if spec is None:
-        return ClosureCache(max_entries=default_entries)
-    if isinstance(spec, ClosureCache):
-        return spec
-    if spec <= 0:
-        return None
-    return ClosureCache(max_entries=spec)
 
 
 def column_support(

@@ -34,8 +34,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 
-from ..core.bitset import bit_count, full_mask
-from ..core.closure import ClosureCache, resolve_closure_cache
+from ..core.bitset import full_mask
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -51,7 +50,10 @@ from ..obs import (
     PruneEvent,
     resolve_progress,
 )
-from .checks import height_set_closed, row_set_closed
+from .checks import LaneClosure
+# The drain inlines its Lemma 4-5 checks; the sweep checks stay importable
+# here because perfbench's traced runs patch these names on this module.
+from .checks import height_set_closed, row_set_closed  # noqa: F401
 from .cutter import Cutter, CutterIndex, HeightOrder, build_cutters
 
 __all__ = ["CubeMinerStats", "cubeminer_mine", "CubeMiner"]
@@ -68,7 +70,6 @@ def cubeminer_mine(
     *,
     order: HeightOrder = HeightOrder.ZERO_DECREASING,
     cutters: list[Cutter] | None = None,
-    closure_cache: "ClosureCache | int | None" = None,
     metrics: MiningMetrics | None = None,
     on_event: EventSink | None = None,
     progress: "ProgressController | Callable | None" = None,
@@ -88,14 +89,6 @@ def cubeminer_mine(
     cutters:
         Pre-built cutter list (overrides ``order``); used by the parallel
         driver and by tests that pin a specific Z.
-    closure_cache:
-        Closure-memoization control: ``None`` (default) runs with a
-        fresh :class:`~repro.core.closure.ClosureCache`, ``0`` disables
-        memoization, a positive int bounds a fresh cache to that many
-        entries, and a ``ClosureCache`` instance is reused as-is.  The
-        cache never changes the mined cubes — only how fast the Lemma
-        4-5 checks run; its hit/miss/eviction tallies land in the run's
-        metrics (``closure_cache_hits`` etc.).
     metrics:
         Counter set to accumulate into (a fresh one per run by default);
         pass a shared instance to observe the run in flight or to tally
@@ -141,7 +134,6 @@ def cubeminer_mine(
                 cutters,
                 [(root, 0, 0, 0)],
                 stats,
-                closure_cache=resolve_closure_cache(closure_cache),
                 sink=on_event,
                 progress=controller,
             )
@@ -174,6 +166,43 @@ def cubeminer_mine(
     return result
 
 
+def _fold(stats: MiningMetrics, counts: tuple[int, ...]) -> None:
+    """Add one stretch of the drain's local tallies into ``stats``.
+
+    ``counts`` is laid out as in :func:`_run`'s fold points; the check
+    count (and from it ``kernel_ops`` and the union-memo hits) follows
+    from the closure outcomes, so the loop never counts checks itself.
+    """
+    (
+        nodes, leaves, depth, misses,
+        min_h, min_r, min_c, min_volume, left_track, middle_track,
+        left_rows, middle_heights, right_heights, right_rows,
+        sons_left, sons_middle, sons_right,
+    ) = counts
+    checks = (
+        left_rows + sons_left
+        + middle_heights + sons_middle
+        + right_heights + 2 * right_rows + 2 * sons_right
+    )
+    stats.nodes_visited += nodes
+    stats.kernel_ops += nodes + checks
+    stats.leaves_emitted += leaves
+    stats.max_stack_depth = max(stats.max_stack_depth, depth)
+    stats.closure_cache_misses += misses
+    stats.closure_cache_hits += checks - misses
+    stats.pruned_min_h += min_h
+    stats.pruned_min_r += min_r
+    stats.pruned_min_c += min_c
+    stats.pruned_min_volume += min_volume
+    stats.pruned_left_track += left_track
+    stats.pruned_middle_track += middle_track
+    stats.pruned_row_unclosed += left_rows + right_rows
+    stats.pruned_height_unclosed += middle_heights + right_heights
+    stats.sons_left += sons_left
+    stats.sons_middle += sons_middle
+    stats.sons_right += sons_right
+
+
 def _run(
     dataset: Dataset3D,
     thresholds: Thresholds,
@@ -181,7 +210,6 @@ def _run(
     stack: list[tuple[tuple[int, int, int], int, int, int]],
     stats: MiningMetrics,
     *,
-    closure_cache: ClosureCache | None = None,
     sink: EventSink | None = None,
     progress: ProgressController | None = None,
 ) -> tuple[list[Cube], MiningMetrics]:
@@ -190,18 +218,34 @@ def _run(
     Exposed separately so the parallel driver can seed the stack with a
     single branch of the tree and replay exactly the sequential search.
     On cancellation the raised ``MiningCancelled`` carries the cubes
-    found so far in ``partial_cubes``.  ``closure_cache`` memoizes the
-    Lemma 4-5 closure checks (``None`` recomputes every check); its
-    counter deltas are folded into ``stats`` even on cancellation.
+    found so far in ``partial_cubes``.
+
+    The Lemma 4-5 checks are :class:`~repro.cubeminer.checks.LaneClosure`
+    tests inlined over its memo dicts (one instance per drain): the loop
+    is hot enough that a method call per check costs measurably.
+
+    Counters are tallied in locals and folded into ``stats`` before
+    every progress checkpoint and on the way out (cancellation
+    included), so every snapshot sees exact totals.
     """
     min_h, min_r, min_c = thresholds.as_tuple()
     min_volume = thresholds.min_volume
     n_cutters = len(cutters)
     cutter_index = CutterIndex(cutters)
     first_applicable = cutter_index.first_applicable
-    cache = closure_cache
-    cache_base = cache.counters() if cache is not None else None
+    lanes = LaneClosure(dataset)
+    m = lanes.m
+    fill = lanes.fill
+    spread = lanes.spread
+    # Per cutter, the columns it keeps for the right son, in every lane.
+    keep_spread = [spread(lanes.universe & ~cutter.columns) for cutter in cutters]
+    row_unions = lanes.row_unions
+    height_unions = lanes.height_unions
+    rows_outside = lanes.rows_outside
+    heights_outside = lanes.heights_outside
     check_every = progress.check_every if progress is not None else 0
+    # Countdown to the next checkpoint; -1 never reaches zero.
+    until_check = check_every - stats.nodes_visited % check_every if check_every else -1
     found: list[Cube] = []
     push = stack.append
     pop = stack.pop
@@ -209,13 +253,29 @@ def _run(
     # machinery of the NamedTuple constructor, which is measurable here.
     node_event = NodeEvent._make
     prune_event = PruneEvent._make
+    nodes = leaves = depth = misses = 0
+    p_min_h = p_min_r = p_min_c = p_min_volume = p_left_track = p_middle_track = 0
+    left_rows = middle_heights = right_heights = right_rows = 0
+    sons_left = sons_middle = sons_right = 0
     try:
         while stack:
-            stats.max_stack_depth = max(stats.max_stack_depth, len(stack))
+            if len(stack) > depth:
+                depth = len(stack)
             (heights, rows, columns), index, track_left, track_middle = pop()
-            stats.nodes_visited += 1
-            stats.kernel_ops += 1
-            if check_every and not stats.nodes_visited % check_every:
+            nodes += 1
+            until_check -= 1
+            if not until_check:
+                until_check = check_every
+                _fold(stats, (
+                    nodes, leaves, depth, misses,
+                    p_min_h, p_min_r, p_min_c, p_min_volume, p_left_track, p_middle_track,
+                    left_rows, middle_heights, right_heights, right_rows,
+                    sons_left, sons_middle, sons_right,
+                ))
+                nodes = leaves = misses = 0
+                p_min_h = p_min_r = p_min_c = p_min_volume = p_left_track = p_middle_track = 0
+                left_rows = middle_heights = right_heights = right_rows = 0
+                sons_left = sons_middle = sons_right = 0
                 progress.checkpoint(
                     stats, phase="cubeminer", done=stats.nodes_visited
                 )
@@ -223,7 +283,7 @@ def _run(
             index = first_applicable(heights, rows, columns, index)
             if index == n_cutters:
                 # Survived every cutter: all-ones, closed, frequent (Theorem 2).
-                stats.leaves_emitted += 1
+                leaves += 1
                 found.append(Cube(heights, rows, columns))
                 if sink is not None:
                     sink(node_event((heights, rows, columns, index, True)))
@@ -231,108 +291,149 @@ def _run(
             if sink is not None:
                 sink(node_event((heights, rows, columns, index, False)))
             cutter = cutters[index]
+            # C' copied into every lane: built by the node's first check
+            # and shared by the rest.
+            spread_columns = None
 
             left_atom = 1 << cutter.height
             middle_atom = 1 << cutter.row
             next_index = index + 1
             if min_volume > 1:
                 # Volume is monotone down the tree: each son loses cells.
-                h_count = bit_count(heights)
-                r_count = bit_count(rows)
-                c_count = bit_count(columns)
+                h_count = heights.bit_count()
+                r_count = rows.bit_count()
+                c_count = columns.bit_count()
 
             # Left son (H' \ W, R', C') — Algorithm 2 lines 9-14.
             son_heights = heights & ~left_atom
-            if bit_count(son_heights) < min_h:
-                stats.pruned_min_h += 1
+            if son_heights.bit_count() < min_h:
+                p_min_h += 1
                 if sink is not None:
                     sink(prune_event(("left", "pruned_min_h", son_heights, rows, columns)))
             elif min_volume > 1 and (h_count - 1) * r_count * c_count < min_volume:
-                stats.pruned_min_volume += 1
+                p_min_volume += 1
                 if sink is not None:
                     sink(prune_event(("left", "pruned_min_volume", son_heights, rows, columns)))
             elif left_atom & track_left:
-                stats.pruned_left_track += 1
+                p_left_track += 1
                 if sink is not None:
                     sink(prune_event(("left", "pruned_left_track", son_heights, rows, columns)))
-            elif not row_set_closed(dataset, son_heights, rows, columns, cache=cache):
-                stats.kernel_ops += 1
-                stats.pruned_row_unclosed += 1
-                if sink is not None:
-                    sink(prune_event(("left", "pruned_row_unclosed", son_heights, rows, columns)))
             else:
-                stats.kernel_ops += 1
-                stats.sons_left += 1
-                push(((son_heights, rows, columns), next_index, track_left, track_middle))
+                # Rcheck (Lemma 5) on (H' \ W, R', C').
+                union = row_unions.get(son_heights)
+                if union is None:
+                    misses += 1
+                    union = lanes.row_union(son_heights)
+                spots = rows_outside.get(rows)
+                if spots is None:
+                    spots = lanes.outside_rows(rows)
+                spread_columns = spread(columns)
+                if ((union & spread_columns) + fill) >> m & spots != spots:
+                    left_rows += 1
+                    if sink is not None:
+                        sink(prune_event(("left", "pruned_row_unclosed", son_heights, rows, columns)))
+                else:
+                    sons_left += 1
+                    push(((son_heights, rows, columns), next_index, track_left, track_middle))
 
             # Middle son (H', R' \ X, C') — lines 15-20.
             son_rows = rows & ~middle_atom
-            if bit_count(son_rows) < min_r:
-                stats.pruned_min_r += 1
+            if son_rows.bit_count() < min_r:
+                p_min_r += 1
                 if sink is not None:
                     sink(prune_event(("middle", "pruned_min_r", heights, son_rows, columns)))
             elif min_volume > 1 and h_count * (r_count - 1) * c_count < min_volume:
-                stats.pruned_min_volume += 1
+                p_min_volume += 1
                 if sink is not None:
                     sink(prune_event(("middle", "pruned_min_volume", heights, son_rows, columns)))
             elif middle_atom & track_middle:
-                stats.pruned_middle_track += 1
+                p_middle_track += 1
                 if sink is not None:
                     sink(prune_event(("middle", "pruned_middle_track", heights, son_rows, columns)))
-            elif not height_set_closed(dataset, heights, son_rows, columns, cache=cache):
-                stats.kernel_ops += 1
-                stats.pruned_height_unclosed += 1
-                if sink is not None:
-                    sink(prune_event(("middle", "pruned_height_unclosed", heights, son_rows, columns)))
             else:
-                stats.kernel_ops += 1
-                stats.sons_middle += 1
-                push(((heights, son_rows, columns), next_index, track_left | left_atom, track_middle))
+                # Hcheck (Lemma 4) on (H', R' \ X, C').
+                union = height_unions.get(son_rows)
+                if union is None:
+                    misses += 1
+                    union = lanes.height_union(son_rows)
+                spots = heights_outside.get(heights)
+                if spots is None:
+                    spots = lanes.outside_heights(heights)
+                if spread_columns is None:
+                    spread_columns = spread(columns)
+                if ((union & spread_columns) + fill) >> m & spots != spots:
+                    middle_heights += 1
+                    if sink is not None:
+                        sink(prune_event(("middle", "pruned_height_unclosed", heights, son_rows, columns)))
+                else:
+                    sons_middle += 1
+                    push(((heights, son_rows, columns), next_index, track_left | left_atom, track_middle))
 
             # Right son (H', R', C' \ Y) — lines 21-29.
             son_columns = columns & ~cutter.columns
-            if bit_count(son_columns) < min_c:
-                stats.pruned_min_c += 1
+            if son_columns.bit_count() < min_c:
+                p_min_c += 1
                 if sink is not None:
                     sink(prune_event(("right", "pruned_min_c", heights, rows, son_columns)))
-            elif (
+                continue
+            if (
                 min_volume > 1
-                and h_count * r_count * bit_count(son_columns) < min_volume
+                and h_count * r_count * son_columns.bit_count() < min_volume
             ):
-                stats.pruned_min_volume += 1
+                p_min_volume += 1
                 if sink is not None:
                     sink(prune_event(("right", "pruned_min_volume", heights, rows, son_columns)))
-            elif not height_set_closed(dataset, heights, rows, son_columns, cache=cache):
-                stats.kernel_ops += 1
-                stats.pruned_height_unclosed += 1
+                continue
+            if spread_columns is None:
+                spread_columns = spread(son_columns)
+            else:
+                spread_columns &= keep_spread[index]
+            # Hcheck (Lemma 4) on (H', R', C' \ Y).
+            union = height_unions.get(rows)
+            if union is None:
+                misses += 1
+                union = lanes.height_union(rows)
+            spots = heights_outside.get(heights)
+            if spots is None:
+                spots = lanes.outside_heights(heights)
+            if ((union & spread_columns) + fill) >> m & spots != spots:
+                right_heights += 1
                 if sink is not None:
                     sink(prune_event(("right", "pruned_height_unclosed", heights, rows, son_columns)))
-            elif not row_set_closed(dataset, heights, rows, son_columns, cache=cache):
-                stats.kernel_ops += 2
-                stats.pruned_row_unclosed += 1
+                continue
+            # Rcheck (Lemma 5) on (H', R', C' \ Y).
+            union = row_unions.get(heights)
+            if union is None:
+                misses += 1
+                union = lanes.row_union(heights)
+            spots = rows_outside.get(rows)
+            if spots is None:
+                spots = lanes.outside_rows(rows)
+            if ((union & spread_columns) + fill) >> m & spots != spots:
+                right_rows += 1
                 if sink is not None:
                     sink(prune_event(("right", "pruned_row_unclosed", heights, rows, son_columns)))
-            else:
-                stats.kernel_ops += 2
-                stats.sons_right += 1
-                push(
-                    (
-                        (heights, rows, son_columns),
-                        next_index,
-                        track_left | left_atom,
-                        track_middle | middle_atom,
-                    )
+                continue
+            sons_right += 1
+            push(
+                (
+                    (heights, rows, son_columns),
+                    next_index,
+                    track_left | left_atom,
+                    track_middle | middle_atom,
                 )
+            )
     except MiningCancelled as exc:
         exc.partial_cubes = found
         exc.metrics = stats
         raise
     finally:
-        if cache is not None:
-            hits0, misses0, evictions0 = cache_base
-            stats.closure_cache_hits += cache.hits - hits0
-            stats.closure_cache_misses += cache.misses - misses0
-            stats.closure_cache_evictions += cache.evictions - evictions0
+        _fold(stats, (
+            nodes, leaves, depth, misses,
+            p_min_h, p_min_r, p_min_c, p_min_volume, p_left_track, p_middle_track,
+            left_rows, middle_heights, right_heights, right_rows,
+            sons_left, sons_middle, sons_right,
+        ))
     return found, stats
 
 

@@ -86,7 +86,10 @@ class MiningMetrics:
     shm_copy_fallbacks: int = 0
     shard_merges: int = 0
     shard_merge_dropped: int = 0
-    # -- closure-memoization cache (repro.core.closure.ClosureCache) ---
+    # -- CubeMiner's Lemma 4-5 lane-union memo (one per drain) ---------
+    # misses: lane unions built; hits: checks answered from a union
+    # already built, so hits + misses = closure checks run; evictions
+    # stay 0 because the memo lives exactly one drain.
     closure_cache_hits: int = 0
     closure_cache_misses: int = 0
     closure_cache_evictions: int = 0

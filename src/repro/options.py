@@ -61,17 +61,10 @@ class CubeMinerOptions(_OptionsBase):
 
     #: Height-slice ordering heuristic for the cutter list.
     order: HeightOrder = HeightOrder.ZERO_DECREASING
-    #: Closure-memoization bound: ``None`` keeps the default cache, ``0``
-    #: disables memoization, a positive int caps the cache at that many
-    #: entries (see :class:`repro.core.closure.ClosureCache`).
-    closure_cache_size: int | None = None
 
     def to_kwargs(self, algorithm: str = "cubeminer") -> dict:
         self._check(algorithm)
-        kwargs: dict = {"order": self.order}
-        if self.closure_cache_size is not None:
-            kwargs["closure_cache"] = self.closure_cache_size
-        return kwargs
+        return {"order": self.order}
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from ..core.closure import ClosureCache
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import AXIS_NAMES, Dataset3D
@@ -214,17 +213,12 @@ def _cubeminer_worker_chunk(
     stats = metrics if metrics is not None else MiningMetrics()
     stack = [task.as_stack_item() for task in tasks]
     try:
-        # A fresh chunk-scoped closure cache: witnesses cannot travel
-        # between processes, but within one chunk the engine gets the
-        # same witness reuse as a sequential run (counters merge
-        # driver-side with the rest of the chunk's tallies).
         cubes, stats = _run(
             dataset,
             thresholds,
             cutters,
             stack,
             stats,
-            closure_cache=ClosureCache(),
             sink=sink,
             progress=progress,
         )

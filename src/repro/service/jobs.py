@@ -760,14 +760,16 @@ class JobManager:
         if (directory / "result.json").exists():
             result, problem = self._load_result(job_id)
             if result is not None:
-                record.status = "done"
-                record.finished = time.time()
-                record.error = None
-                record.n_cubes = len(result)
+                # Fill the lattice cache before publishing ``done``: a
+                # client that sees the job done must also hit the cache.
                 try:
                     self.cache.put(record.spec.dataset, record.spec.algorithm, result)
                 except OSError:
                     pass  # result still served from the job dir
+                record.status = "done"
+                record.finished = time.time()
+                record.error = None
+                record.n_cubes = len(result)
                 self._save_safe(record)
                 with self._lock:
                     self._lock.notify_all()

@@ -1,12 +1,15 @@
-"""Correctness of the bounded closure-memoization cache.
+"""Correctness of closure memoization: the lane-packed CubeMiner checks
+and the bounded support cache.
 
-The cache must be semantically invisible: every witness-backed closure
-check and memoized support query agrees with the fresh computation on
-arbitrary datasets and query sequences (hypothesis drives both), a
-bounded cache under heavy eviction still yields the bit-identical mined
-result, and the miner's cached/uncached paths produce the same cube
-list, node counts and leaves on a seeded grid.  The cache counters must
-surface through ``MiningResult.stats``.
+CubeMiner's drain answers Lemmas 4-5 with lane-packed big-int tests
+(:class:`repro.cubeminer.checks.LaneClosure`) memoized per drain; they
+must agree with the per-check kernel sweeps on arbitrary regions and on
+every registered kernel, including the lane-edge shapes, and the drain
+that inlines them must reproduce the sweep-checked tree exactly.  The
+support cache (:class:`repro.core.closure.ClosureCache`) must be
+semantically invisible under any bound.  The drain's union-memo
+counters must surface through ``MiningResult.stats`` with
+``hits + misses`` equal to the number of closure checks run.
 """
 
 from __future__ import annotations
@@ -21,39 +24,48 @@ from repro.core.closure import (
     column_support,
     height_support,
     is_closed_cube,
-    resolve_closure_cache,
     row_support,
 )
 from repro.core.constraints import Thresholds
 from repro.core.cube import Cube
-from repro.core.dataset import Dataset3D
 from repro.core.kernels import available_kernels
+from repro.cubeminer import trace as trace_module
 from repro.cubeminer.algorithm import cubeminer_mine
-from repro.cubeminer.checks import height_set_closed, row_set_closed
+from repro.cubeminer.checks import LaneClosure, height_set_closed, row_set_closed
+from repro.cubeminer.cutter import HeightOrder
+from repro.cubeminer.trace import trace_tree
 from repro.datasets import paper_example, random_tensor
 
 KERNELS = list(available_kernels())
 
 
 @st.composite
-def datasets_and_queries(draw):
+def datasets_and_queries(draw, shapes=None):
     """A small random dataset plus a batch of random region queries."""
-    l = draw(st.integers(min_value=1, max_value=4))
-    n = draw(st.integers(min_value=1, max_value=5))
-    m = draw(st.sampled_from([3, 8, 70]))
+    if shapes is None:
+        l = draw(st.integers(min_value=1, max_value=4))
+        n = draw(st.integers(min_value=1, max_value=5))
+        m = draw(st.sampled_from([3, 8, 70]))
+    else:
+        l, n, m = draw(st.sampled_from(shapes))
     density = draw(st.sampled_from([0.2, 0.5, 0.8]))
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    queries = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=(1 << l) - 1),
-                st.integers(min_value=0, max_value=(1 << n) - 1),
-                st.integers(min_value=0, max_value=(1 << m) - 1),
-            ),
-            min_size=1,
-            max_size=30,
-        )
+    region = st.tuples(
+        st.integers(min_value=0, max_value=(1 << l) - 1),
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+        st.integers(min_value=0, max_value=(1 << m) - 1),
     )
+    # Full H'/R' (no outside element) and empty C' are the lanes' edges.
+    edges = st.sampled_from(
+        [
+            ((1 << l) - 1, (1 << n) - 1, (1 << m) - 1),
+            ((1 << l) - 1, (1 << n) - 1, 0),
+            (0, (1 << n) - 1, (1 << m) - 1),
+            ((1 << l) - 1, 0, (1 << m) - 1),
+            (1, 1, 0),
+        ]
+    )
+    queries = draw(st.lists(st.one_of(region, edges), min_size=1, max_size=30))
     return (l, n, m), density, seed, queries
 
 
@@ -62,29 +74,63 @@ def datasets_and_queries(draw):
 def test_cached_queries_match_fresh_computation(case):
     """Memoized closure work == fresh work over arbitrary query streams.
 
-    The same query can repeat (exercising hits), regions shrink and
-    grow arbitrarily (exercising witness revalidation and staleness),
-    and a tiny bound (max_entries=2) forces constant eviction in a
-    second cache that must still agree.
+    The same query can repeat (exercising memo hits), regions shrink and
+    grow arbitrarily, one ``LaneClosure`` answers the whole stream
+    against the kernel sweeps, and a tiny support-cache bound
+    (max_entries=2) forces constant eviction in a second cache that must
+    still agree.
     """
     shape, density, seed, queries = case
     dataset = random_tensor(shape, density, seed=seed)
+    lanes = LaneClosure(dataset)
     caches = [ClosureCache(), ClosureCache(max_entries=2)]
     for heights, rows, columns in queries:
-        expected_h = height_set_closed(dataset, heights, rows, columns)
-        expected_r = row_set_closed(dataset, heights, rows, columns)
+        assert lanes.height_closed(heights, rows, columns) == height_set_closed(
+            dataset, heights, rows, columns
+        )
+        assert lanes.row_closed(heights, rows, columns) == row_set_closed(
+            dataset, heights, rows, columns
+        )
         expected_hs = height_support(dataset, rows, columns)
         expected_rs = row_support(dataset, heights, columns)
         expected_cs = column_support(dataset, heights, rows)
         for cache in caches:
-            assert cache.height_set_closed(dataset, heights, rows, columns) == expected_h
-            assert cache.row_set_closed(dataset, heights, rows, columns) == expected_r
             assert cache.height_support(dataset, rows, columns) == expected_hs
             assert cache.row_support(dataset, heights, columns) == expected_rs
             assert cache.column_support(dataset, heights, rows) == expected_cs
             assert len(cache) <= cache.max_entries
     small = caches[1]
     assert small.hits + small.misses > 0
+
+
+#: Lane widths around the 64-bit word boundary, and single-row /
+#: single-height tensors whose lane tables hold one lane.
+LANE_EDGE_SHAPES = [
+    (3, 4, 1),
+    (2, 3, 63),
+    (3, 2, 64),
+    (2, 2, 65),
+    (4, 1, 9),
+    (1, 5, 9),
+    (1, 1, 64),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(case=datasets_and_queries(shapes=LANE_EDGE_SHAPES))
+def test_lane_checks_match_kernel_sweep(kernel, case):
+    """Lane answer == kernel sweep on every kernel, at the lane edges."""
+    shape, density, seed, queries = case
+    dataset = random_tensor(shape, density, seed=seed).with_kernel(kernel)
+    lanes = LaneClosure(dataset)
+    for heights, rows, columns in queries:
+        assert lanes.height_closed(heights, rows, columns) == height_set_closed(
+            dataset, heights, rows, columns
+        )
+        assert lanes.row_closed(heights, rows, columns) == row_set_closed(
+            dataset, heights, rows, columns
+        )
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,58 +159,113 @@ def test_cached_close_and_predicates_match(case):
     [((4, 5, 12), 0.5, 3), ((5, 4, 20), 0.6, 7), ((4, 6, 70), 0.35, 11)],
 )
 def test_miner_cached_equals_uncached(kernel, shape, density, seed):
-    """The memoized miner reproduces the uncached run bit-for-bit."""
+    """The lane-checked drain reproduces the sweep-checked tree exactly.
+
+    ``trace_tree`` runs the same search with the kernel-sweep checks, so
+    its leaves and prune tallies must match the drain's bit for bit.
+    """
     dataset = random_tensor(shape, density, seed=seed).with_kernel(kernel)
     thresholds = Thresholds(2, 2, 2)
-    uncached = cubeminer_mine(dataset, thresholds, closure_cache=0)
-    cached = cubeminer_mine(dataset, thresholds)
-    assert cached.cubes == uncached.cubes
-    assert (
-        cached.stats["nodes_visited"] == uncached.stats["nodes_visited"]
-    )
-    assert (
-        cached.stats["leaves_emitted"] == uncached.stats["leaves_emitted"]
-    )
+    swept = trace_tree(dataset, thresholds, order=HeightOrder.ORIGINAL)
+    laned = cubeminer_mine(dataset, thresholds, order=HeightOrder.ORIGINAL)
+    assert laned.cubes == sorted(swept.leaves(), key=Cube.sort_key)
+    assert laned.stats.metrics.prune_counts() == trace_module.prune_counts(swept)
+    assert laned.stats["leaves_emitted"] == len(swept.leaves())
+
+
+@pytest.mark.parametrize("shape", LANE_EDGE_SHAPES)
+def test_drain_matches_sweep_at_lane_edges(shape):
+    """The drain's inlined lane tests at the lane edges == sweep tree."""
+    dataset = random_tensor(shape, 0.6, seed=sum(shape))
+    thresholds = Thresholds(1, 1, 1)
+    swept = trace_tree(dataset, thresholds, order=HeightOrder.ORIGINAL)
+    laned = cubeminer_mine(dataset, thresholds, order=HeightOrder.ORIGINAL)
+    assert laned.cubes == sorted(swept.leaves(), key=Cube.sort_key)
+    assert laned.stats.metrics.prune_counts() == trace_module.prune_counts(swept)
+
+
+def _count_sweep_checks(monkeypatch, dataset, thresholds):
+    """Closure checks ``trace_tree`` runs, and the distinct memo keys.
+
+    A Rcheck needs the union keyed by ``H'`` and a Hcheck the one keyed
+    by ``R'``, so the distinct keys are the unions a drain builds.
+    """
+    calls = {"checks": 0}
+    row_keys: set[int] = set()
+    height_keys: set[int] = set()
+
+    def counting_row(dataset, heights, rows, columns):
+        calls["checks"] += 1
+        row_keys.add(heights)
+        return row_set_closed(dataset, heights, rows, columns)
+
+    def counting_height(dataset, heights, rows, columns):
+        calls["checks"] += 1
+        height_keys.add(rows)
+        return height_set_closed(dataset, heights, rows, columns)
+
+    monkeypatch.setattr(trace_module, "row_set_closed", counting_row)
+    monkeypatch.setattr(trace_module, "height_set_closed", counting_height)
+    trace_tree(dataset, thresholds, order=HeightOrder.ORIGINAL)
+    return calls["checks"], len(row_keys) + len(height_keys)
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [paper_example(), random_tensor((4, 6, 40), 0.55, seed=23)],
+    ids=["paper", "random"],
+)
+def test_memo_counters_count_the_closure_checks(monkeypatch, dataset):
+    """hits + misses = Lemma 4-5 checks run; misses = unions built."""
+    thresholds = Thresholds(2, 2, 2)
+    checks, unions = _count_sweep_checks(monkeypatch, dataset, thresholds)
+    result = cubeminer_mine(dataset, thresholds, order=HeightOrder.ORIGINAL)
+    stats = result.stats
+    assert checks > 0
+    assert stats["closure_cache_hits"] + stats["closure_cache_misses"] == checks
+    assert stats["closure_cache_misses"] == unions
+    assert stats["closure_cache_evictions"] == 0
+    assert stats["kernel_ops"] == stats["nodes_visited"] + checks
 
 
 @pytest.mark.parametrize("max_entries", [1, 2, 5])
 def test_bounded_cache_evicts_without_changing_output(max_entries):
-    """Heavy eviction degrades to recomputation, never to wrong cubes."""
+    """Heavy eviction of the support memo degrades to recomputation,
+    never to different closures."""
     dataset = random_tensor((5, 6, 24), 0.5, seed=19)
-    thresholds = Thresholds(2, 2, 2)
-    expected = cubeminer_mine(dataset, thresholds, closure_cache=0)
+    seeds = [
+        Cube(1 << k, 1 << i, 1 << j)
+        for k in range(dataset.n_heights)
+        for i in range(dataset.n_rows)
+        for j in range(dataset.n_columns)
+        if dataset.ones_masks()[k][i] >> j & 1
+    ]
     cache = ClosureCache(max_entries=max_entries)
-    bounded = cubeminer_mine(dataset, thresholds, closure_cache=cache)
-    assert bounded.cubes == expected.cubes
+    for seed in seeds:
+        assert close(dataset, seed, cache=cache) == close(dataset, seed)
     assert len(cache) <= max_entries
     assert cache.evictions > 0
-    assert bounded.stats["closure_cache_evictions"] == cache.evictions
 
 
 def test_counters_surface_through_result_stats():
     result = cubeminer_mine(paper_example(), Thresholds(2, 2, 2))
     stats = result.stats
-    assert stats["closure_cache_hits"] + stats["closure_cache_misses"] > 0
+    assert stats["closure_cache_hits"] > 0
+    assert stats["closure_cache_misses"] > 0
     assert stats["closure_cache_evictions"] == 0
     serialized = stats.to_dict()["metrics"]
     assert serialized["closure_cache_hits"] == stats["closure_cache_hits"]
-    disabled = cubeminer_mine(paper_example(), Thresholds(2, 2, 2), closure_cache=0)
-    assert disabled.stats["closure_cache_hits"] == 0
-    assert disabled.stats["closure_cache_misses"] == 0
+    assert serialized["closure_cache_misses"] == stats["closure_cache_misses"]
 
 
-def test_shared_cache_accumulates_and_result_deltas_stay_per_run():
-    """A run folds only its own delta into metrics, not the cache total."""
-    dataset = paper_example()
+def test_union_memo_is_per_drain():
+    """A run starts with an empty memo: no state carries between runs."""
+    dataset = random_tensor((5, 6, 24), 0.5, seed=19)
     thresholds = Thresholds(2, 2, 2)
-    cache = ClosureCache()
-    first = cubeminer_mine(dataset, thresholds, closure_cache=cache)
-    second = cubeminer_mine(dataset, thresholds, closure_cache=cache)
+    first = cubeminer_mine(dataset, thresholds)
+    second = cubeminer_mine(dataset, thresholds)
     assert second.cubes == first.cubes
-    total = (
-        first.stats["closure_cache_hits"] + second.stats["closure_cache_hits"]
-    )
-    assert cache.hits == total
+    assert second.stats.metrics.as_dict() == first.stats.metrics.as_dict()
 
 
 def test_cache_rebinds_on_a_different_dataset():
@@ -172,38 +273,23 @@ def test_cache_rebinds_on_a_different_dataset():
     b = random_tensor((4, 3, 10), 0.5, seed=2)
     cache = ClosureCache()
     for dataset in (a, b, a):
-        for heights in range(1 << dataset.n_heights):
-            rows = (1 << dataset.n_rows) - 1
-            columns = (1 << dataset.n_columns) - 1
-            assert cache.height_set_closed(
-                dataset, heights, rows, columns
-            ) == height_set_closed(dataset, heights, rows, columns)
+        columns = (1 << dataset.n_columns) - 1
+        for rows in range(1 << dataset.n_rows):
+            assert cache.height_support(dataset, rows, columns) == height_support(
+                dataset, rows, columns
+            )
 
 
-def test_resolve_closure_cache_semantics():
-    assert resolve_closure_cache(0) is None
-    assert resolve_closure_cache(-5) is None
-    default = resolve_closure_cache(None)
-    assert isinstance(default, ClosureCache)
-    bounded = resolve_closure_cache(7)
-    assert bounded.max_entries == 7
-    existing = ClosureCache(max_entries=3)
-    assert resolve_closure_cache(existing) is existing
+def test_closure_cache_rejects_a_non_positive_budget():
     with pytest.raises(ValueError):
         ClosureCache(max_entries=0)
 
 
-def test_options_thread_the_cache_knob():
-    from repro.api import mine
+def test_closure_cache_knob_is_gone():
+    """The witness-cache knob was removed, with no replacement option."""
     from repro.options import CubeMinerOptions
 
-    dataset = paper_example()
-    thresholds = Thresholds(2, 2, 2)
-    off = mine(
-        dataset, thresholds, algorithm="cubeminer",
-        options=CubeMinerOptions(closure_cache_size=0),
-    )
-    on = mine(dataset, thresholds, algorithm="cubeminer")
-    assert off.cubes == on.cubes
-    assert off.stats["closure_cache_hits"] == 0
-    assert on.stats["closure_cache_hits"] > 0
+    with pytest.raises(TypeError):
+        cubeminer_mine(paper_example(), Thresholds(2, 2, 2), closure_cache=0)
+    with pytest.raises(TypeError):
+        CubeMinerOptions(closure_cache_size=0)

@@ -176,6 +176,48 @@ class TestCancellation:
         assert updates[-1].metrics.nodes_visited > 0
         assert "cubeminer" in updates[-1].format()
 
+    @pytest.mark.parametrize("check_every", [1, 3, 7])
+    def test_progress_snapshots_are_exact(self, check_every):
+        """Each checkpoint sees every counter of the nodes before it."""
+        rng = np.random.default_rng(11)
+        dataset = random_dataset(rng, max_dim=6, density_range=(0.6, 0.8))
+        thresholds = Thresholds(1, 1, 1)
+        sink = CollectingSink()
+        dones = []
+
+        def snapshot(update):
+            if update.done == 0:
+                return  # the up-front checkpoint, before the drain
+            nodes = sink.of_kind("node")
+            prunes = {}
+            for event in sink.of_kind("prune"):
+                prunes[event.reason] = prunes.get(event.reason, 0) + 1
+            dones.append(update.done)
+            metrics = update.metrics
+            # The checkpoint for node v runs after v is counted, before
+            # its event: v - 1 node events are in the sink.
+            assert metrics.nodes_visited == update.done == len(nodes) + 1
+            assert metrics.leaves_emitted == sum(e.is_leaf for e in nodes)
+            assert {
+                reason: count
+                for reason, count in metrics.prune_counts().items()
+                if count
+            } == prunes
+            checks = metrics.closure_cache_hits + metrics.closure_cache_misses
+            assert metrics.kernel_ops == metrics.nodes_visited + checks
+
+        controller = ProgressController(
+            on_progress=snapshot, check_every=check_every, min_interval=0
+        )
+        result = cubeminer_mine(
+            dataset, thresholds, progress=controller, on_event=sink
+        )
+        plain = cubeminer_mine(dataset, thresholds)
+        assert dones == list(
+            range(check_every, plain.stats["nodes_visited"] + 1, check_every)
+        )
+        assert result.stats.metrics.as_dict() == plain.stats.metrics.as_dict()
+
     def test_rsm_cancel_mid_slices(self, paper_ds, paper_thresholds):
         def cancel_after_first_slice(update):
             if update.metrics.rs_slices_mined >= 1:

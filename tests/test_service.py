@@ -251,6 +251,53 @@ class TestMiningJobs:
 
 
 # ----------------------------------------------------------------------
+# Job completion ordering
+# ----------------------------------------------------------------------
+class _BlockingCache(ThresholdLatticeCache):
+    """A lattice cache whose ``put`` waits until the test releases it."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.stored = threading.Event()
+
+    def put(self, fingerprint, algorithm, result) -> None:
+        self.entered.set()
+        assert self.release.wait(120), "test never released the cache put"
+        super().put(fingerprint, algorithm, result)
+        self.stored.set()
+
+
+class TestDonePublishOrder:
+    def test_done_is_published_only_after_the_cache_put(self, tmp_path):
+        """A client that sees ``done`` must also hit the lattice cache."""
+        registry = DatasetRegistry(tmp_path / "datasets")
+        cache = _BlockingCache(tmp_path / "cache")
+        manager = JobManager(tmp_path / "jobs", registry, cache, max_workers=1)
+        try:
+            dataset = small_dataset()
+            fp = registry.register(dataset).fingerprint
+            thresholds = Thresholds(1, 2, 2)
+            record = manager.submit(JobSpec(dataset=fp, thresholds=thresholds))
+            assert cache.entered.wait(120), "the job never reached the cache put"
+            # The put is blocked: however long we look, the job is not done.
+            for _ in range(5):
+                assert manager.get(record.id).status != "done"
+                time.sleep(0.05)
+            cache.release.set()
+            deadline = time.monotonic() + 120
+            while manager.get(record.id).status != "done":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert cache.stored.is_set()
+            assert cache.lookup(fp, "cubeminer", thresholds) is not None
+        finally:
+            cache.release.set()
+            manager.shutdown()
+
+
+# ----------------------------------------------------------------------
 # Over HTTP, with the typed client
 # ----------------------------------------------------------------------
 @pytest.mark.slow
