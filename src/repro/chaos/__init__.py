@@ -1,7 +1,9 @@
 """Cross-layer chaos harness: deterministic fault injection + fsck.
 
-This package generalizes :class:`repro.parallel.faults.FaultPlan`
-beyond pool workers to the whole service stack:
+This package is the service-stack sibling of
+:class:`repro.parallel.faults.FaultPlan` (which stays the pool-worker
+injector: it pickles to workers and keys faults on (chunk, attempt),
+while :class:`ChaosPlan` counts (site, op) calls in one process):
 
 * :mod:`repro.chaos.plan` — :class:`ChaosPlan`, a seedable schedule of
   filesystem, transport and worker faults addressed by (site, op).

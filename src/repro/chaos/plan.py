@@ -1,7 +1,10 @@
 """Deterministic cross-layer fault schedules.
 
-:class:`ChaosPlan` generalizes :class:`repro.parallel.faults.FaultPlan`
-beyond pool workers: one seedable schedule drives filesystem faults
+:class:`ChaosPlan` is a sibling of :class:`repro.parallel.faults.FaultPlan`,
+not a replacement: it counts calls per (site, op) in the process that
+holds it and guards its counters with a lock, so it cannot be pickled to
+pool workers, while ``FaultPlan`` travels to every worker and keys its
+faults on (chunk, attempt).  One seedable schedule drives filesystem faults
 (ENOSPC, EIO, torn/truncated writes, stale temp files, bit-flip
 corruption), HTTP faults (connection reset, slow handler) and worker
 faults (crash, hang) across every store the service touches.  The plan

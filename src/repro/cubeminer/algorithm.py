@@ -212,6 +212,7 @@ def _run(
     *,
     sink: EventSink | None = None,
     progress: ProgressController | None = None,
+    max_nodes: int | None = None,
 ) -> tuple[list[Cube], MiningMetrics]:
     """Drain a work stack of ``((H', R', C'), cutter_index, TL, TM)`` items.
 
@@ -219,6 +220,11 @@ def _run(
     single branch of the tree and replay exactly the sequential search.
     On cancellation the raised ``MiningCancelled`` carries the cubes
     found so far in ``partial_cubes``.
+
+    ``max_nodes`` stops the drain after that many nodes and leaves the
+    rest of the stack in ``stack``; the parallel task expansion splits
+    one node at a time this way.  It cannot be combined with
+    ``progress``, whose checkpoint countdown it borrows.
 
     The Lemma 4-5 checks are :class:`~repro.cubeminer.checks.LaneClosure`
     tests inlined over its memo dicts (one instance per drain): the loop
@@ -246,6 +252,11 @@ def _run(
     check_every = progress.check_every if progress is not None else 0
     # Countdown to the next checkpoint; -1 never reaches zero.
     until_check = check_every - stats.nodes_visited % check_every if check_every else -1
+    if max_nodes is not None:
+        if progress is not None:
+            raise ValueError("max_nodes cannot be combined with progress")
+        # The countdown runs out on the first node past the budget.
+        until_check = max_nodes + 1
     found: list[Cube] = []
     push = stack.append
     pop = stack.pop
@@ -265,6 +276,11 @@ def _run(
             nodes += 1
             until_check -= 1
             if not until_check:
+                if max_nodes is not None:
+                    # Budget spent: put the node back unvisited.
+                    nodes -= 1
+                    push(((heights, rows, columns), index, track_left, track_middle))
+                    break
                 until_check = check_every
                 _fold(stats, (
                     nodes, leaves, depth, misses,

@@ -15,8 +15,7 @@ candidate supports it.
 CubeMiner's drain runs both tests lane-packed (:class:`LaneClosure`):
 one big-int expression checks every outside element at once.  The
 per-check kernel sweeps below are the reference the lane form is
-tested against; the parallel task expansion and the tree tracer call
-them directly.
+tested against; the tree tracer calls them directly.
 """
 
 from __future__ import annotations

@@ -88,11 +88,9 @@ class MiningMetrics:
     shard_merge_dropped: int = 0
     # -- CubeMiner's Lemma 4-5 lane-union memo (one per drain) ---------
     # misses: lane unions built; hits: checks answered from a union
-    # already built, so hits + misses = closure checks run; evictions
-    # stay 0 because the memo lives exactly one drain.
+    # already built, so hits + misses = closure checks run.
     closure_cache_hits: int = 0
     closure_cache_misses: int = 0
-    closure_cache_evictions: int = 0
     # -- streaming / out-of-core (repro.stream) ------------------------
     deltas_applied: int = 0
     cubes_patched: int = 0

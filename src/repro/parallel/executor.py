@@ -61,7 +61,7 @@ from ..core.dataset import AXIS_NAMES, Dataset3D
 from ..core.kernels import Kernel
 from ..core.permute import map_cube_from_transposed, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
-from ..cubeminer.algorithm import CubeMinerStats, _run
+from ..cubeminer.algorithm import _run
 from ..cubeminer.cutter import Cutter, HeightOrder, build_cutters
 from ..fcp import get_fcp_miner
 from ..obs import (

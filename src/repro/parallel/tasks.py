@@ -8,20 +8,21 @@ so no communication happens during execution):
 * **RSM** — one task per representative slice, i.e. per enumerated
   base-dimension subset (:func:`rsm_tasks`);
 * **CubeMiner** — one task per branch of the splitting tree.  The tree
-  is expanded breadth-first until at least ``min_tasks`` frontier nodes
-  exist; each frontier node (with its cutter index and track sets) is a
-  self-contained continuation (:func:`cubeminer_tasks`).
+  is expanded breadth-first, by the sequential drain itself, until at
+  least ``min_tasks`` frontier nodes exist; each frontier node (with its
+  cutter index and track sets) is a self-contained continuation
+  (:func:`cubeminer_tasks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.bitset import bit_count, full_mask
+from ..core.bitset import full_mask
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from ..cubeminer.checks import height_set_closed, row_set_closed
+from ..cubeminer.algorithm import _run
 from ..cubeminer.cutter import Cutter
 from ..obs.metrics import MiningMetrics
 from ..rsm.slices import enumerate_height_subsets
@@ -64,20 +65,19 @@ def cubeminer_tasks(
 ) -> tuple[list[CubeMinerTask], list[Cube]]:
     """Expand the CubeMiner tree breadth-first into >= ``min_tasks`` tasks.
 
-    Returns the frontier tasks plus any FCCs already completed during
-    expansion (nodes that ran out of applicable cutters early).  The
-    expansion applies exactly the sequential pruning rules, so replaying
-    every task yields exactly the sequential result set.  When
-    ``metrics`` is given, the expansion's own node visits and closure
-    checks are tallied so the driver's counters cover this phase too.
+    Each frontier node is expanded by the sequential drain itself, run
+    on a one-item stack for one node: the sons it leaves on the stack
+    form the next frontier, and a node with no applicable cutter left
+    comes back as a completed FCC.  Returns the frontier tasks plus
+    those FCCs, so replaying every task yields exactly the sequential
+    result set.  When ``metrics`` is given, the expansion's counters
+    (nodes, sons, prunes, closure checks) land there, and with the
+    workers' they add up to the sequential run's totals.
     """
     if min_tasks < 1:
         raise ValueError(f"min_tasks must be >= 1, got {min_tasks}")
     if metrics is None:
         metrics = MiningMetrics()
-    min_h, min_r, min_c = thresholds.as_tuple()
-    min_volume = thresholds.min_volume
-    n_cutters = len(cutters)
     done: list[Cube] = []
     frontier: list[CubeMinerTask] = []
     if thresholds.feasible_for_shape(dataset.shape):
@@ -94,76 +94,13 @@ def cubeminer_tasks(
 
     while frontier and len(frontier) < min_tasks:
         next_frontier: list[CubeMinerTask] = []
-        expanded_any = False
         for task in frontier:
-            heights, rows, columns = task.heights, task.rows, task.columns
-            metrics.nodes_visited += 1
-            metrics.kernel_ops += 1
-            index = task.cutter_index
-            while index < n_cutters:
-                cutter = cutters[index]
-                if (
-                    heights >> cutter.height & 1
-                    and rows >> cutter.row & 1
-                    and columns & cutter.columns
-                ):
-                    break
-                index += 1
-            else:
-                metrics.leaves_emitted += 1
-                done.append(Cube(heights, rows, columns))
-                continue
-            expanded_any = True
-            left_atom = 1 << cutter.height
-            middle_atom = 1 << cutter.row
-            next_index = index + 1
-            h_count = bit_count(heights)
-            r_count = bit_count(rows)
-            c_count = bit_count(columns)
-            son_heights = heights & ~left_atom
-            if (
-                bit_count(son_heights) >= min_h
-                and (h_count - 1) * r_count * c_count >= min_volume
-                and not left_atom & task.track_left
-                and row_set_closed(dataset, son_heights, rows, columns)
-            ):
-                metrics.sons_left += 1
-                next_frontier.append(
-                    CubeMinerTask(
-                        son_heights, rows, columns, next_index,
-                        task.track_left, task.track_middle,
-                    )
-                )
-            son_rows = rows & ~middle_atom
-            if (
-                bit_count(son_rows) >= min_r
-                and h_count * (r_count - 1) * c_count >= min_volume
-                and not middle_atom & task.track_middle
-                and height_set_closed(dataset, heights, son_rows, columns)
-            ):
-                metrics.sons_middle += 1
-                next_frontier.append(
-                    CubeMinerTask(
-                        heights, son_rows, columns, next_index,
-                        task.track_left | left_atom, task.track_middle,
-                    )
-                )
-            son_columns = columns & ~cutter.columns
-            if (
-                bit_count(son_columns) >= min_c
-                and h_count * r_count * bit_count(son_columns) >= min_volume
-                and height_set_closed(dataset, heights, rows, son_columns)
-                and row_set_closed(dataset, heights, rows, son_columns)
-            ):
-                metrics.sons_right += 1
-                next_frontier.append(
-                    CubeMinerTask(
-                        heights, rows, son_columns, next_index,
-                        task.track_left | left_atom,
-                        task.track_middle | middle_atom,
-                    )
-                )
+            stack = [task.as_stack_item()]
+            leaves, _ = _run(dataset, thresholds, cutters, stack, metrics, max_nodes=1)
+            done.extend(leaves)
+            next_frontier.extend(
+                CubeMinerTask(heights, rows, columns, index, track_left, track_middle)
+                for (heights, rows, columns), index, track_left, track_middle in stack
+            )
         frontier = next_frontier
-        if not expanded_any:
-            break
     return frontier, done

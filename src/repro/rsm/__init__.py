@@ -1,7 +1,6 @@
 """Representative Slice Mining: FCCs via 2D FCP miners (Section 4)."""
 
 from .algorithm import RSMMiner, resolve_base_axis, rsm_mine
-from .incremental import append_height_slice
 from .postprune import height_closed_in
 from .slices import (
     count_height_subsets,
@@ -13,7 +12,6 @@ from .slices import (
 __all__ = [
     "RSMMiner",
     "rsm_mine",
-    "append_height_slice",
     "resolve_base_axis",
     "height_closed_in",
     "count_height_subsets",

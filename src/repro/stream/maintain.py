@@ -1,8 +1,8 @@
 """Incremental FCC maintenance under arbitrary delta batches.
 
-This module promotes :mod:`repro.rsm.incremental` (height-slice appends
-only) to the general case: any batch of cell edits and slice
-appends/drops along any axis.  Given the old tensor ``O`` with its
+This module handles any batch of cell edits and slice appends/drops
+along any axis; a height-slice append is the one-delta batch
+``[AppendSlice(0, values)]``.  Given the old tensor ``O`` with its
 *complete* FCC set ``F`` at thresholds ``T``, and a delta batch
 producing ``O'`` with dirty height set ``D``
 (:func:`repro.stream.delta.apply_deltas`), every FCC of ``O'`` falls in

@@ -54,6 +54,31 @@ class TestCubeMinerTasks:
             sequential = cubeminer_mine(ds, th).cube_set()
             assert combined == sequential
 
+    @pytest.mark.parametrize("budget", [1, 2, 7])
+    def test_node_budget_splits_the_drain(self, rng, budget):
+        """A budgeted drain, then a drain of what it left on the stack,
+        visits exactly the tree one drain visits."""
+        from repro.cubeminer.algorithm import _run
+        from repro.obs import MiningMetrics, ProgressController
+
+        per_drain = {"max_stack_depth", "closure_cache_hits", "closure_cache_misses"}
+        for _ in range(10):
+            ds = random_dataset(rng)
+            th = Thresholds(*(int(x) for x in rng.integers(1, 3, size=3)))
+            cutters = build_cutters(ds)
+            root = tuple((1 << size) - 1 for size in ds.shape)
+            whole, want = _run(ds, th, cutters, [(root, 0, 0, 0)], MiningMetrics())
+            stack = [(root, 0, 0, 0)]
+            first, got = _run(ds, th, cutters, stack, MiningMetrics(), max_nodes=budget)
+            assert got.nodes_visited == min(budget, want.nodes_visited)
+            rest, got = _run(ds, th, cutters, stack, got)
+            assert first + rest == whole
+            for name in want.as_dict().keys() - per_drain:
+                assert getattr(got, name) == getattr(want, name), name
+        with pytest.raises(ValueError, match="max_nodes"):
+            _run(ds, th, cutters, [(root, 0, 0, 0)], MiningMetrics(),
+                 progress=ProgressController(), max_nodes=1)
+
     def test_infeasible_thresholds_no_tasks(self, paper_ds):
         cutters = build_cutters(paper_ds)
         tasks, done = cubeminer_tasks(paper_ds, Thresholds(9, 9, 9), cutters, 4)

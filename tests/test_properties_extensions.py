@@ -20,7 +20,7 @@ from repro.core.dataset import Dataset3D
 from repro.cubeminer import cubeminer_mine
 from repro.io import result_from_json, result_to_json
 from repro.ndim import mine_nd
-from repro.rsm import append_height_slice
+from repro.stream import AppendSlice, maintain
 
 # ----------------------------------------------------------------------
 # Strategies (kept in sync with tests/test_properties.py)
@@ -109,7 +109,7 @@ def test_incremental_append_equals_remine(case, data):
         )
     )
     new_slice = np.array(cells, dtype=bool).reshape(ds.n_rows, ds.n_columns)
-    extended, updated = append_height_slice(ds, old_result, new_slice, th)
+    extended, updated = maintain(ds, old_result, [AppendSlice(0, new_slice)], th)
     assert updated.same_cubes(mine(extended, th))
 
 

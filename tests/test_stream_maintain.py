@@ -158,8 +158,9 @@ def test_thresholds_default_from_base_result():
     ds = planted()
     th = Thresholds(2, 2, 2)
     base = mine(ds, th, algorithm="rsm")
-    _, maintained = maintain(ds, base, [SetCell(0, 0, 0)])
-    assert maintained.thresholds == th
+    for delta in (SetCell(0, 0, 0), AppendSlice("height", np.ones((8, 10), dtype=int))):
+        _, maintained = maintain(ds, base, [delta])
+        assert maintained.thresholds == th
 
 
 def test_metrics_counters_and_stream_extra():
@@ -198,5 +199,6 @@ def test_maintain_without_thresholds_anywhere_raises():
     stripped = type(base)(
         cubes=list(base.cubes), algorithm=base.algorithm, thresholds=None
     )
-    with pytest.raises(ValueError):
-        maintain(ds, stripped, [SetCell(0, 0, 0)])
+    for delta in (SetCell(0, 0, 0), AppendSlice("height", np.ones((8, 10), dtype=int))):
+        with pytest.raises(ValueError, match="thresholds"):
+            maintain(ds, stripped, [delta])

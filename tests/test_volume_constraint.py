@@ -18,7 +18,8 @@ from repro.core.reference import reference_mine
 from repro.cubeminer import cubeminer_mine
 from repro.cubeminer.trace import PruneReason, trace_tree
 from repro.options import ParallelOptions
-from repro.rsm import append_height_slice, rsm_mine
+from repro.rsm import rsm_mine
+from repro.stream import AppendSlice, maintain
 from tests.conftest import random_dataset
 
 
@@ -103,7 +104,7 @@ class TestMinerEquivalenceUnderVolume:
             th = Thresholds(1, 1, 1, min_volume=int(rng.integers(2, 10)))
             old_result = mine(ds, th)
             new_slice = rng.random((ds.n_rows, ds.n_columns)) < 0.6
-            extended, updated = append_height_slice(ds, old_result, new_slice, th)
+            extended, updated = maintain(ds, old_result, [AppendSlice(0, new_slice)], th)
             assert updated.same_cubes(mine(extended, th))
 
 
