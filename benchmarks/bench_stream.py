@@ -25,8 +25,7 @@ a file bigger than the memory it was allowed to keep resident.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_stream.py
-    PYTHONPATH=src python benchmarks/bench_stream.py --check \
-        --baseline BENCH_stream.json
+    PYTHONPATH=src python benchmarks/bench_stream.py --check --rounds 2
     PYTHONPATH=src python benchmarks/bench_stream.py --output BENCH_stream.json
 """
 

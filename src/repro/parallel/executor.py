@@ -55,6 +55,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+from ..core.closure import LaneClosure
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import AXIS_NAMES, Dataset3D
@@ -75,7 +76,6 @@ from ..obs import (
     resolve_progress,
 )
 from ..rsm.algorithm import resolve_base_axis
-from ..rsm.postprune import height_closed_in
 from ..rsm.slices import representative_slice
 from .checkpoint import CheckpointJournal, run_fingerprint
 from .faults import FaultPlan
@@ -98,6 +98,7 @@ _worker_dataset: Dataset3D | None = None
 _worker_thresholds: Thresholds | None = None
 _worker_fcp_name: str = "dminer"
 _worker_cutters: list[Cutter] | None = None
+_worker_lanes: LaneClosure | None = None  # the RSM worker's Lemma-1 engine
 _worker_attachment = None  # keeps a zero-copy shm segment mapped
 
 
@@ -126,10 +127,11 @@ def _init_rsm_worker(
     fcp_name: str,
     kernel_name: str | None = None,
 ) -> None:
-    global _worker_dataset, _worker_thresholds, _worker_fcp_name
+    global _worker_dataset, _worker_thresholds, _worker_fcp_name, _worker_lanes
     _worker_dataset = _materialize_worker_dataset(dataset, kernel_name)
     _worker_thresholds = thresholds
     _worker_fcp_name = fcp_name
+    _worker_lanes = LaneClosure(_worker_dataset)
 
 
 def _rsm_worker_chunk(
@@ -147,7 +149,8 @@ def _rsm_worker_chunk(
     """
     dataset = _worker_dataset
     thresholds = _worker_thresholds
-    assert dataset is not None and thresholds is not None
+    lanes = _worker_lanes
+    assert dataset is not None and thresholds is not None and lanes is not None
     stats = metrics if metrics is not None else MiningMetrics()
     miner = get_fcp_miner(_worker_fcp_name)
     found: list[tuple[int, int, int]] = []
@@ -167,9 +170,8 @@ def _rsm_worker_chunk(
                 if volume < thresholds.min_volume:
                     continue
                 stats.postprune_checked += 1
-                if height_closed_in(
-                    dataset, heights, pattern.rows, pattern.columns, metrics=stats
-                ):
+                stats.kernel_ops += 1
+                if lanes.height_closed(heights, pattern.rows, pattern.columns):
                     n_kept += 1
                     found.append((heights, pattern.rows, pattern.columns))
                 else:

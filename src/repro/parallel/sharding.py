@@ -27,7 +27,7 @@ across shard orderings — the property suite pins exactly that.
 
 from __future__ import annotations
 
-from ..core.closure import ClosureCache, is_closed_cube
+from ..core.closure import LaneClosure
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -119,14 +119,15 @@ def merge_shard_results(
     """Merge per-shard raw cube triples into one canonical result.
 
     Deduplicates, re-validates each survivor against the full dataset
-    (closure via :func:`repro.core.closure.is_closed_cube` plus the
-    thresholds — violations are counted in ``shard_merge_dropped`` and
-    dropped; a correct shard decomposition never produces any) and
-    returns the triples in canonical sorted order.  The output depends
+    (Definition 3.2 via :meth:`repro.core.closure.LaneClosure.is_closed`
+    plus the thresholds — violations are counted in
+    ``shard_merge_dropped`` and dropped; a correct shard decomposition
+    never produces any) and returns the triples in canonical sorted
+    order.  The output depends
     only on the input set, which makes the merge associative and
     idempotent however the shards are grouped or ordered.
     """
-    cache = ClosureCache()
+    lanes = LaneClosure(dataset) if revalidate and triples else None
     seen: set[Triple] = set()
     kept: list[Triple] = []
     dropped = 0
@@ -134,13 +135,11 @@ def merge_shard_results(
         if triple in seen:
             continue
         seen.add(triple)
-        if revalidate:
-            cube = Cube(*triple)
-            if not thresholds.satisfied_by(cube) or not is_closed_cube(
-                dataset, cube, cache=cache
-            ):
-                dropped += 1
-                continue
+        if lanes is not None and not (
+            thresholds.satisfied_by(Cube(*triple)) and lanes.is_closed(*triple)
+        ):
+            dropped += 1
+            continue
         kept.append(triple)
     kept.sort()
     if metrics is not None:

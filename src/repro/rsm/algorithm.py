@@ -10,7 +10,8 @@ RSM mines FCCs in three phases:
    :mod:`repro.fcp` — D-Miner by default, as in the paper);
 3. keep a pattern only when its height set is exactly the enumerated
    subset, i.e. no outside slice also contains it (phase 3, Lemma 1,
-   :mod:`repro.rsm.postprune`).
+   :mod:`repro.rsm.postprune`), answered by the run's lane-packed
+   :class:`~repro.core.closure.LaneClosure`.
 
 Each FCC is produced exactly once — by the subset equal to its height
 support set.  The base dimension defaults to heights; ``base_axis``
@@ -31,6 +32,7 @@ import time
 from collections.abc import Callable
 from math import comb
 
+from ..core.closure import LaneClosure
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
@@ -48,7 +50,10 @@ from ..obs import (
     SliceEvent,
     resolve_progress,
 )
-from .postprune import PostPruneStats, height_closed_in
+from .postprune import PostPruneStats
+# Lemma 1 runs lane-packed; the kernel-sweep check stays importable here
+# for callers that patch or compare against it by this module's name.
+from .postprune import height_closed_in  # noqa: F401
 from .slices import count_height_subsets, iter_size_slices
 
 __all__ = ["rsm_mine", "RSMMiner", "resolve_base_axis"]
@@ -200,6 +205,7 @@ def _mine_base_height(
             total = count_height_subsets(n_heights, min_h)
             slice_cells = dataset.n_rows * dataset.n_columns
             n_enumerated = 0
+            lanes = LaneClosure(dataset)
             for size in range(min_h, n_heights + 1):
                 if size * slice_cells < min_volume:
                     # No slice of this size can reach the volume floor:
@@ -216,10 +222,8 @@ def _mine_base_height(
                     for pattern in patterns:
                         if size * pattern.row_support * pattern.column_support < min_volume:
                             continue
-                        kept = height_closed_in(
-                            dataset, heights, pattern.rows, pattern.columns,
-                            metrics=metrics,
-                        )
+                        metrics.kernel_ops += 1
+                        kept = lanes.height_closed(heights, pattern.rows, pattern.columns)
                         prune.record(kept)
                         if kept:
                             n_kept += 1

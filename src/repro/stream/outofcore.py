@@ -353,6 +353,10 @@ def _mine_streaming(
                 volume = size * pattern.row_support * pattern.column_support
                 if volume < thresholds.min_volume:
                     continue
+                # Lemma 1 as a kernel sweep over the mapped grid, not
+                # the in-memory miners' LaneClosure: its lane tables
+                # would hold the whole tensor as Python ints and break
+                # the bounded-RSS promise.
                 if height_closed_in(
                     dataset, heights, pattern.rows, pattern.columns, metrics=metrics
                 ):

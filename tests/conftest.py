@@ -66,3 +66,32 @@ def random_dataset(
     l, n, m = rng.integers(1, max_dim + 1, size=3)
     density = rng.uniform(*density_range)
     return Dataset3D(rng.random((l, n, m)) < density)
+
+
+def record_lemma1(monkeypatch: pytest.MonkeyPatch, module) -> list[bool]:
+    """Route ``module``'s Lemma-1 checks through a recording engine.
+
+    ``module.LaneClosure`` is replaced by a subclass whose
+    ``height_closed`` also asks the kernel-sweep reference
+    (:func:`repro.rsm.postprune.height_closed_in`) on the same pattern,
+    asserts the two agree, and appends the answer to the returned list.
+    Only engines that ``module`` builds are affected.
+    """
+    from repro.core.closure import LaneClosure
+    from repro.rsm.postprune import height_closed_in
+
+    answers: list[bool] = []
+
+    class RecordingLanes(LaneClosure):
+        def __init__(self, dataset: Dataset3D) -> None:
+            super().__init__(dataset)
+            self.dataset = dataset
+
+        def height_closed(self, heights: int, rows: int, columns: int) -> bool:
+            kept = super().height_closed(heights, rows, columns)
+            assert kept == height_closed_in(self.dataset, heights, rows, columns)
+            answers.append(kept)
+            return kept
+
+    monkeypatch.setattr(module, "LaneClosure", RecordingLanes)
+    return answers

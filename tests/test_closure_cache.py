@@ -1,15 +1,16 @@
-"""Correctness of closure memoization: the lane-packed CubeMiner checks
-and the bounded support cache.
+"""Correctness of the lane-packed closure engine.
 
-CubeMiner's drain answers Lemmas 4-5 with lane-packed big-int tests
-(:class:`repro.cubeminer.checks.LaneClosure`) memoized per drain; they
-must agree with the per-check kernel sweeps on arbitrary regions and on
-every registered kernel, including the lane-edge shapes, and the drain
-that inlines them must reproduce the sweep-checked tree exactly.  The
-support cache (:class:`repro.core.closure.ClosureCache`) must be
-semantically invisible under any bound.  The drain's union-memo
-counters must surface through ``MiningResult.stats`` with
-``hits + misses`` equal to the number of closure checks run.
+:class:`repro.core.closure.LaneClosure` answers every in-memory closure
+question — CubeMiner's Lemma 4-5 checks, RSM's Lemma-1 post-prune, the
+support sets, Definition 3.2 and ``close`` for stream maintenance and the
+shard merge — with lane-packed big-int tests memoized per run.  Every
+answer must equal the reference in :mod:`repro.core.closure` and
+:mod:`repro.cubeminer.checks` (per-call kernel sweeps) on arbitrary
+regions and on every registered kernel, including the lane-edge shapes,
+and the drain that inlines the Lemma tests must reproduce the
+sweep-checked tree exactly.  The drain's union-memo counters must
+surface through ``MiningResult.stats`` with ``hits + misses`` equal to
+the number of closure checks run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.closure import (
-    ClosureCache,
+    LaneClosure,
     close,
     column_support,
     height_support,
@@ -31,7 +32,7 @@ from repro.core.cube import Cube
 from repro.core.kernels import available_kernels
 from repro.cubeminer import trace as trace_module
 from repro.cubeminer.algorithm import cubeminer_mine
-from repro.cubeminer.checks import LaneClosure, height_set_closed, row_set_closed
+from repro.cubeminer.checks import height_set_closed, row_set_closed
 from repro.cubeminer.cutter import HeightOrder
 from repro.cubeminer.trace import trace_tree
 from repro.datasets import paper_example, random_tensor
@@ -69,38 +70,53 @@ def datasets_and_queries(draw, shapes=None):
     return (l, n, m), density, seed, queries
 
 
+def assert_lanes_match_reference(dataset, lanes, heights, rows, columns):
+    """Every lane answer on one region == the kernel-sweep reference."""
+    assert lanes.height_closed(heights, rows, columns) == height_set_closed(
+        dataset, heights, rows, columns
+    )
+    assert lanes.row_closed(heights, rows, columns) == row_set_closed(
+        dataset, heights, rows, columns
+    )
+    assert lanes.height_support(rows, columns) == height_support(
+        dataset, rows, columns
+    )
+    assert lanes.row_support(heights, columns) == row_support(
+        dataset, heights, columns
+    )
+    assert lanes.column_support(heights, rows) == column_support(
+        dataset, heights, rows
+    )
+    cube = Cube(heights, rows, columns)
+    assert lanes.is_closed(heights, rows, columns) == is_closed_cube(dataset, cube)
+    # The region itself (usually not complete, so both must refuse it),
+    # then the one-cell seed at its lowest members (complete when set).
+    low = Cube(heights & -heights, rows & -rows, columns & -columns)
+    for seed in (cube, low):
+        try:
+            expected = close(dataset, seed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lanes.close(seed.heights, seed.rows, seed.columns)
+            continue
+        assert lanes.close(seed.heights, seed.rows, seed.columns) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(datasets_and_queries())
 def test_cached_queries_match_fresh_computation(case):
-    """Memoized closure work == fresh work over arbitrary query streams.
+    """Memoized lane answers == fresh kernel sweeps over arbitrary query
+    streams.
 
     The same query can repeat (exercising memo hits), regions shrink and
-    grow arbitrarily, one ``LaneClosure`` answers the whole stream
-    against the kernel sweeps, and a tiny support-cache bound
-    (max_entries=2) forces constant eviction in a second cache that must
-    still agree.
+    grow arbitrarily, and one ``LaneClosure`` answers the whole stream.
     """
     shape, density, seed, queries = case
     dataset = random_tensor(shape, density, seed=seed)
     lanes = LaneClosure(dataset)
-    caches = [ClosureCache(), ClosureCache(max_entries=2)]
     for heights, rows, columns in queries:
-        assert lanes.height_closed(heights, rows, columns) == height_set_closed(
-            dataset, heights, rows, columns
-        )
-        assert lanes.row_closed(heights, rows, columns) == row_set_closed(
-            dataset, heights, rows, columns
-        )
-        expected_hs = height_support(dataset, rows, columns)
-        expected_rs = row_support(dataset, heights, columns)
-        expected_cs = column_support(dataset, heights, rows)
-        for cache in caches:
-            assert cache.height_support(dataset, rows, columns) == expected_hs
-            assert cache.row_support(dataset, heights, columns) == expected_rs
-            assert cache.column_support(dataset, heights, rows) == expected_cs
-            assert len(cache) <= cache.max_entries
-    small = caches[1]
-    assert small.hits + small.misses > 0
+        assert_lanes_match_reference(dataset, lanes, heights, rows, columns)
+    assert lanes.height_unions or lanes.row_unions
 
 
 #: Lane widths around the 64-bit word boundary, and single-row /
@@ -125,32 +141,31 @@ def test_lane_checks_match_kernel_sweep(kernel, case):
     dataset = random_tensor(shape, density, seed=seed).with_kernel(kernel)
     lanes = LaneClosure(dataset)
     for heights, rows, columns in queries:
-        assert lanes.height_closed(heights, rows, columns) == height_set_closed(
-            dataset, heights, rows, columns
-        )
-        assert lanes.row_closed(heights, rows, columns) == row_set_closed(
-            dataset, heights, rows, columns
-        )
+        assert_lanes_match_reference(dataset, lanes, heights, rows, columns)
 
 
 @settings(max_examples=30, deadline=None)
 @given(datasets_and_queries())
 def test_cached_close_and_predicates_match(case):
-    """``close`` and ``is_closed_cube`` agree with their uncached selves."""
+    """``close`` and ``is_closed`` agree with the reference, from every
+    complete one-cell seed and on every closed cube they reach."""
     shape, density, seed, queries = case
     dataset = random_tensor(shape, density, seed=seed)
-    cache = ClosureCache(max_entries=3)
+    lanes = LaneClosure(dataset)
+    for k, per_height in enumerate(dataset.ones_masks()):
+        for i, mask in enumerate(per_height):
+            for j in range(dataset.n_columns):
+                if not mask >> j & 1:
+                    continue
+                seed_cube = Cube(1 << k, 1 << i, 1 << j)
+                closed = lanes.close(1 << k, 1 << i, 1 << j)
+                assert closed == close(dataset, seed_cube)
+                assert lanes.is_closed(closed.heights, closed.rows, closed.columns)
+                assert is_closed_cube(dataset, closed)
     for heights, rows, columns in queries:
-        cube = Cube(heights, rows, columns)
-        assert is_closed_cube(dataset, cube, cache=cache) == is_closed_cube(
-            dataset, cube
+        assert lanes.is_closed(heights, rows, columns) == is_closed_cube(
+            dataset, Cube(heights, rows, columns)
         )
-        if not cube.is_empty():
-            try:
-                expected = close(dataset, cube)
-            except ValueError:
-                continue
-            assert close(dataset, cube, cache=cache) == expected
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -227,25 +242,6 @@ def test_memo_counters_count_the_closure_checks(monkeypatch, dataset):
     assert stats["kernel_ops"] == stats["nodes_visited"] + checks
 
 
-@pytest.mark.parametrize("max_entries", [1, 2, 5])
-def test_bounded_cache_evicts_without_changing_output(max_entries):
-    """Heavy eviction of the support memo degrades to recomputation,
-    never to different closures."""
-    dataset = random_tensor((5, 6, 24), 0.5, seed=19)
-    seeds = [
-        Cube(1 << k, 1 << i, 1 << j)
-        for k in range(dataset.n_heights)
-        for i in range(dataset.n_rows)
-        for j in range(dataset.n_columns)
-        if dataset.ones_masks()[k][i] >> j & 1
-    ]
-    cache = ClosureCache(max_entries=max_entries)
-    for seed in seeds:
-        assert close(dataset, seed, cache=cache) == close(dataset, seed)
-    assert len(cache) <= max_entries
-    assert cache.evictions > 0
-
-
 def test_counters_surface_through_result_stats():
     result = cubeminer_mine(paper_example(), Thresholds(2, 2, 2))
     stats = result.stats
@@ -267,20 +263,22 @@ def test_union_memo_is_per_drain():
 
 
 def test_cache_rebinds_on_a_different_dataset():
+    """An engine answers for its own dataset only: engines over different
+    tensors, queried interleaved with the same memo keys, never mix."""
     a = random_tensor((3, 4, 8), 0.5, seed=1)
     b = random_tensor((4, 3, 10), 0.5, seed=2)
-    cache = ClosureCache()
+    engines = {id(a): LaneClosure(a), id(b): LaneClosure(b)}
     for dataset in (a, b, a):
+        lanes = engines[id(dataset)]
         columns = (1 << dataset.n_columns) - 1
         for rows in range(1 << dataset.n_rows):
-            assert cache.height_support(dataset, rows, columns) == height_support(
+            assert lanes.height_support(rows, columns) == height_support(
                 dataset, rows, columns
             )
-
-
-def test_closure_cache_rejects_a_non_positive_budget():
-    with pytest.raises(ValueError):
-        ClosureCache(max_entries=0)
+        for heights in range(1 << dataset.n_heights):
+            assert lanes.row_support(heights, columns) == row_support(
+                dataset, heights, columns
+            )
 
 
 def test_closure_cache_knob_is_gone():

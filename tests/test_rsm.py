@@ -8,8 +8,12 @@ import pytest
 from repro.core.bitset import bit_count, mask_of
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
+from repro.core.permute import order_moving_axis_first
 from repro.core.reference import reference_mine
+from repro.datasets import random_tensor
 from repro.fcp import CloseByOne
+from repro.obs import PruneEvent
+from repro.rsm import algorithm as rsm_algorithm
 from repro.rsm import (
     RSMMiner,
     count_height_subsets,
@@ -19,7 +23,7 @@ from repro.rsm import (
     resolve_base_axis,
     rsm_mine,
 )
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, record_lemma1
 
 
 class TestSubsetEnumeration:
@@ -88,6 +92,43 @@ class TestPostPrune:
 
     def test_full_height_set_always_closed(self, paper_ds):
         assert height_closed_in(paper_ds, mask_of([0, 1, 2]), mask_of([0]), mask_of([0]))
+
+
+class TestLemma1Split:
+    @pytest.mark.parametrize("min_volume", [1, 10])
+    @pytest.mark.parametrize("base_axis", ["height", "row", "column"])
+    def test_postprune_split_matches_the_kernel_sweep(
+        self, monkeypatch, base_axis, min_volume
+    ):
+        """The lane-packed Lemma 1 keeps and discards exactly what the
+        kernel sweep does, and the counters tally the same checks."""
+        dataset = random_tensor((5, 6, 7), 0.6, seed=29)
+        thresholds = Thresholds(2, 2, 2, min_volume=min_volume)
+        answers = record_lemma1(monkeypatch, rsm_algorithm)
+        events = []
+        result = rsm_mine(
+            dataset, thresholds, base_axis=base_axis, on_event=events.append
+        )
+        order = order_moving_axis_first(resolve_base_axis(dataset, base_axis))
+        working = dataset.transpose(order)
+        discards = [
+            e for e in events if isinstance(e, PruneEvent) and e.branch == "postprune"
+        ]
+        assert discards and len(result) > 0
+        for event in discards:
+            assert not height_closed_in(
+                working, event.heights, event.rows, event.columns
+            )
+        for cube in result:
+            masks = (cube.heights, cube.rows, cube.columns)
+            assert height_closed_in(working, *(masks[axis] for axis in order))
+        metrics = result.stats.metrics
+        assert metrics.postprune_checked == len(answers)
+        assert metrics.postprune_discards == answers.count(False) == len(discards)
+        assert len(result) == answers.count(True)
+        assert metrics.kernel_ops == metrics.rs_slices_mined + len(answers)
+        if min_volume > 1:  # the volume floor skips some patterns unchecked
+            assert metrics.postprune_checked < metrics.fcp_patterns
 
 
 class TestBaseAxisResolution:

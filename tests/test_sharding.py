@@ -50,6 +50,79 @@ def tensors_with_thresholds(draw, max_dim: int = 5):
     return dataset, thresholds
 
 
+def _impostor_facts(dataset, thresholds, triple):
+    """Which parts of Definition 3.2 and the thresholds ``triple`` meets,
+    by the kernel-sweep reference."""
+    from repro.core.closure import (
+        column_support,
+        height_support,
+        is_all_ones,
+        row_support,
+    )
+    from repro.cubeminer.checks import height_set_closed, row_set_closed
+
+    h, r, c = triple
+    cube = Cube(h, r, c)
+    return {
+        "complete": is_all_ones(dataset, cube),
+        "frequent": thresholds.satisfied_by(cube),
+        "height": h == height_support(dataset, r, c),
+        "row": r == row_support(dataset, h, c),
+        "column": c == column_support(dataset, h, r),
+        # Lemmas 4-5: no outside height / row covers the region.
+        "no_outside": height_set_closed(dataset, h, r, c)
+        and row_set_closed(dataset, h, r, c),
+    }
+
+
+#: Each impostor fails exactly one test and passes every other, so
+#: dropping any one test from the merge's revalidation lets it through.
+IMPOSTOR_MODES = {
+    "zero-cell": lambda f: not f["complete"] and f["frequent"] and f["no_outside"],
+    "height-unclosed": lambda f: f["complete"]
+    and f["frequent"]
+    and not f["height"]
+    and f["row"]
+    and f["column"],
+    "row-unclosed": lambda f: f["complete"]
+    and f["frequent"]
+    and f["height"]
+    and not f["row"]
+    and f["column"],
+    "column-unclosed": lambda f: f["complete"]
+    and f["frequent"]
+    and f["height"]
+    and f["row"]
+    and not f["column"],
+    "below-threshold": lambda f: f["complete"]
+    and not f["frequent"]
+    and f["height"]
+    and f["row"]
+    and f["column"],
+}
+
+
+def find_impostor(dataset, thresholds, mode):
+    """A triple failing only ``mode``: the closed cubes at (1, 1, 1) and
+    their one-element neighbours (one member added or removed on one
+    axis) are searched in order."""
+    wanted = IMPOSTOR_MODES[mode]
+    sizes = dataset.shape
+    for triple in cube_triples(cubeminer_mine(dataset, Thresholds(1, 1, 1))):
+        candidates = [triple]
+        for axis, size in enumerate(sizes):
+            for bit in range(size):
+                neighbour = list(triple)
+                neighbour[axis] ^= 1 << bit
+                candidates.append(tuple(neighbour))
+        for candidate in candidates:
+            if 0 in candidate:
+                continue
+            if wanted(_impostor_facts(dataset, thresholds, candidate)):
+                return candidate
+    raise AssertionError(f"no {mode} impostor in this dataset")
+
+
 # ----------------------------------------------------------------------
 # Partition primitives
 # ----------------------------------------------------------------------
@@ -197,25 +270,25 @@ class TestMergeAlgebra:
         again = merge_shard_results(dataset, thresholds, once + once)
         assert once == again == sorted(triples)
 
-    def test_merge_drops_planted_violations(self):
-        dataset = random_tensor((5, 8, 10), 0.4, seed=7)
+    @pytest.mark.parametrize("mode", sorted(IMPOSTOR_MODES))
+    def test_merge_drops_planted_violations(self, mode):
+        """One impostor per way a cube can fail Definition 3.2 or the
+        thresholds is re-validated away at the shard boundary, and
+        counted."""
+        from repro.obs import MiningMetrics
+
+        # Dense enough that every failure mode has an impostor.
+        dataset = random_tensor((5, 8, 10), 0.6, seed=7)
         thresholds = Thresholds(2, 2, 2)
         good = cube_triples(cubeminer_mine(dataset, thresholds))
         assert good, "seed must yield at least one cube"
-        # An unclosed/over-threshold-violating impostor at the shard
-        # boundary must be re-validated away, and counted.
-        h, r, c = good[0]
-        impostors = [(h, r & -r, c), (0b1, 0b1, 0b1)]
-        from repro.obs import MiningMetrics
-
+        impostor = find_impostor(dataset, thresholds, mode)
         metrics = MiningMetrics()
         merged = merge_shard_results(
-            dataset, thresholds, good + impostors, metrics=metrics
+            dataset, thresholds, good + [impostor], metrics=metrics
         )
-        survivors = [t for t in impostors if t in merged]
-        assert merged == sorted(set(good) | set(survivors))
-        assert metrics.shard_merge_dropped == len(impostors) - len(survivors)
-        assert metrics.shard_merge_dropped >= 1
+        assert merged == good
+        assert metrics.shard_merge_dropped == 1
 
     def test_merge_without_revalidation_only_dedupes_and_sorts(self):
         dataset = random_tensor((4, 5, 6), 0.5, seed=3)

@@ -10,6 +10,8 @@ on both kernels.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 from repro.api import mine
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
+from repro.datasets import random_tensor
 from repro.obs.metrics import MiningMetrics
+from repro.rsm.postprune import height_closed_in
 from repro.stream import (
     AppendSlice,
     ClearCell,
@@ -27,6 +31,10 @@ from repro.stream import (
     SetCell,
     maintain,
 )
+from tests.conftest import record_lemma1
+
+# The package re-exports the function under the module's name.
+maintain_module = importlib.import_module("repro.stream.maintain")
 
 KERNELS = ("python-int", "numpy")
 
@@ -182,6 +190,31 @@ def test_metrics_counters_and_stream_extra():
     # Counters survive the serialization round-trip.
     restored = MiningMetrics.from_dict(metrics.to_dict())
     assert restored.deltas_applied == 1
+
+
+@pytest.mark.parametrize("min_volume", [1, 10])
+def test_remine_postprune_matches_the_kernel_sweep(monkeypatch, min_volume):
+    """Pass 2's lane-packed Lemma 1 keeps and discards exactly what the
+    kernel sweep does on a random cell-edit batch, and ``kernel_ops``
+    tallies the same checks."""
+    ds = random_tensor((5, 6, 7), 0.6, seed=29)
+    th = Thresholds(2, 2, 2, min_volume=min_volume)
+    base = mine(ds, th, algorithm="rsm")
+    rng = np.random.default_rng(min_volume)
+    deltas = [
+        (SetCell if rng.random() < 0.5 else ClearCell)(
+            *(int(rng.integers(size)) for size in ds.shape)
+        )
+        for _ in range(4)
+    ]
+    answers = record_lemma1(monkeypatch, maintain_module)
+    metrics = MiningMetrics()
+    new_ds, maintained = maintain(ds, base, deltas, th, metrics=metrics)
+    assert True in answers and False in answers
+    assert metrics.kernel_ops == len(answers)
+    assert _keys(maintained) == _keys(mine(new_ds, th, algorithm="rsm"))
+    for cube in maintained:
+        assert height_closed_in(new_ds, cube.heights, cube.rows, cube.columns)
 
 
 def test_algorithm_tag_does_not_nest():
