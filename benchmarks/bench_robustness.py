@@ -23,7 +23,7 @@ Not a paper figure.  Three sweeps:
    crashes, ever), every served result must be bit-identical to a
    clean mine, and the data directory must fsck clean after
    ``--repair``.  ``--check`` re-runs this sweep and enforces those
-   gates against the recorded series — CI's chaos job runs it.
+   gates against the recorded series — CI's fault-injection job runs it.
 
 All series are recorded in ``BENCH_robustness.json``.
 """
@@ -44,16 +44,11 @@ import pytest
 from common import print_series_table, timed
 from repro.analysis.recovery import recovery_report
 from repro.api import mine
-from repro.chaos import ChaosPlan, ChaosShim, fsck_data_dir
+from repro.chaos import ChaosPlan, ChaosRule, ChaosShim, chunk_path, fsck_data_dir
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
 from repro.datasets import drop_ones, planted_tensor, random_tensor
-from repro.parallel import (
-    Fault,
-    FaultPlan,
-    parallel_cubeminer_mine,
-    parallel_rsm_mine,
-)
+from repro.parallel import parallel_cubeminer_mine, parallel_rsm_mine
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_robustness.json"
 
@@ -79,14 +74,19 @@ def _fault_dataset():
     return random_tensor((6, 12, 30), 0.3, seed=7)
 
 
-def _fault_plan(n_faults: int) -> FaultPlan | None:
-    """k faults on the first k chunks, alternating exception / crash."""
+def _fault_plan(n_faults: int) -> ChaosPlan | None:
+    """k faults on the first dispatch of the first k chunks,
+    alternating exception / crash."""
     if n_faults == 0:
         return None
     kinds = ("exception", "crash")
-    return FaultPlan(
-        {chunk: Fault(kinds[chunk % 2]) for chunk in range(n_faults)}
-    )
+    return ChaosPlan(tuple(
+        ChaosRule(
+            kinds[chunk % 2], site="worker", op="dispatch",
+            path=chunk_path(chunk, 0), calls=None,
+        )
+        for chunk in range(n_faults)
+    ))
 
 
 @pytest.mark.parametrize(

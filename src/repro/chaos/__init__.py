@@ -1,12 +1,10 @@
 """Cross-layer chaos harness: deterministic fault injection + fsck.
 
-This package is the service-stack sibling of
-:class:`repro.parallel.faults.FaultPlan` (which stays the pool-worker
-injector: it pickles to workers and keys faults on (chunk, attempt),
-while :class:`ChaosPlan` counts (site, op) calls in one process):
-
 * :mod:`repro.chaos.plan` — :class:`ChaosPlan`, a seedable schedule of
   filesystem, transport and worker faults addressed by (site, op).
+* :mod:`repro.chaos.worker` — the plain-data block a drawn worker fault
+  travels in (to a pool chunk or a service job) and
+  :func:`fire_worker_fault`, the one function that fires it.
 * :mod:`repro.chaos.io` — :class:`IOShim`, the hardened atomic-write /
   journal-append surface every store routes disk traffic through, and
   :class:`ChaosShim`, the same surface with a plan deciding each call;
@@ -28,11 +26,15 @@ or returns a typed error — never a crash, never silent cube loss.
 from .fsck import FsckIssue, FsckReport, fsck_data_dir
 from .io import ChaosShim, IOShim, StoreCorruptionError, sha256_bytes, sha256_file
 from .plan import CHAOS_FAULT_KINDS, ChaosPlan, ChaosRule
+from .worker import FaultInjected, chunk_path, fire_worker_fault
 
 __all__ = [
     "CHAOS_FAULT_KINDS",
     "ChaosPlan",
     "ChaosRule",
+    "FaultInjected",
+    "chunk_path",
+    "fire_worker_fault",
     "IOShim",
     "ChaosShim",
     "StoreCorruptionError",

@@ -32,6 +32,8 @@ import time
 import uuid
 from pathlib import Path
 
+from .worker import worker_block
+
 __all__ = [
     "StoreCorruptionError",
     "IOShim",
@@ -249,19 +251,14 @@ class IOShim:
     # Worker faults
     # ------------------------------------------------------------------
     def worker_fault(self, job_id: str) -> "dict | None":
-        """A fault manifest block for one worker launch, or ``None``.
+        """A fault block for one worker launch, or ``None``.
 
-        ``crash``/``hang`` faults cross the process boundary through the
-        job's ``task.json`` manifest (the worker has no shim of its
-        own), extending the :class:`repro.parallel.faults.FaultPlan`
-        idea from pool chunks to whole service jobs.
+        Worker faults cross the process boundary through the job's
+        ``task.json`` manifest (the worker has no shim of its own); the
+        worker fires the block with
+        :func:`~repro.chaos.worker.fire_worker_fault`.
         """
-        fault = self._draw("worker", "start", job_id)
-        if fault is None or fault.kind not in ("crash", "hang", "slow"):
-            return None
-        if fault.kind == "crash":
-            return {"kind": "crash"}
-        return {"kind": "hang", "seconds": float(fault.seconds)}
+        return worker_block(self._draw("worker", "start", job_id))
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,18 +1,19 @@
 """Deterministic cross-layer fault schedules.
 
-:class:`ChaosPlan` is a sibling of :class:`repro.parallel.faults.FaultPlan`,
-not a replacement: it counts calls per (site, op) in the process that
-holds it and guards its counters with a lock, so it cannot be pickled to
-pool workers, while ``FaultPlan`` travels to every worker and keys its
-faults on (chunk, attempt).  One seedable schedule drives filesystem faults
-(ENOSPC, EIO, torn/truncated writes, stale temp files, bit-flip
-corruption), HTTP faults (connection reset, slow handler) and worker
-faults (crash, hang) across every store the service touches.  The plan
-is consulted by :class:`~repro.chaos.io.ChaosShim` at each injectable
-*site* (``registry``, ``cache``, ``jobs``, ``mmap``, ``delta``,
-``checkpoint``, ``http``, ``worker``) and *operation* (``write``,
-``finalize``, ``append``, ``read``, ``handle``, ``start``), so a fault
-schedule names exactly where in the stack it strikes.
+One seedable schedule drives filesystem faults (ENOSPC, EIO,
+torn/truncated writes, stale temp files, bit-flip corruption), HTTP
+faults (connection reset, slow handler) and worker faults (crash, hang,
+slow, exception) across every store the service touches and every
+chunk the parallel drivers dispatch.  The plan is consulted at each
+injectable *site* (``registry``, ``cache``, ``jobs``, ``mmap``,
+``delta``, ``checkpoint``, ``http``, ``worker``) and *operation*
+(``write``, ``finalize``, ``append``, ``read``, ``handle``; at site
+``worker``, ``start`` for a service job's worker launch and
+``dispatch`` for one pool dispatch of a parallel chunk, whose path is
+:func:`~repro.chaos.worker.chunk_path`), so a fault schedule names
+exactly where in the stack it strikes.  The plan stays in the
+process that holds it: worker faults cross to the worker as plain-data
+blocks (:mod:`repro.chaos.worker`).
 
 Two authoring modes:
 
@@ -43,8 +44,9 @@ __all__ = ["CHAOS_FAULT_KINDS", "ChaosRule", "ChaosPlan"]
 #: ``bit-flip`` (one corrupted bit in the committed payload),
 #: ``stale-tmp`` (orphaned temporary left behind, as after a hard
 #: kill); transport — ``reset`` (connection reset), ``slow`` (stalled
-#: handler/IO); worker — ``crash`` (hard exit), ``hang`` (stuck worker,
-#: no heartbeat).
+#: handler/IO, or a straggling worker); worker — ``crash`` (hard exit),
+#: ``hang`` (stuck worker, no heartbeat), ``exception`` (an in-task
+#: error).
 CHAOS_FAULT_KINDS = (
     "enospc",
     "eio",
@@ -55,6 +57,7 @@ CHAOS_FAULT_KINDS = (
     "slow",
     "crash",
     "hang",
+    "exception",
 )
 
 
@@ -65,7 +68,9 @@ class ChaosRule:
     ``site``/``op`` match exactly or with the ``"*"`` wildcard;
     ``path`` (when set) must be a substring of the operation's target
     path.  ``calls`` selects which occurrences fire, counted per
-    (site, op) pair from 0 — ``None`` fires on every call.  ``seconds``
+    (site, op) pair from 0 — ``None`` fires on every call, which is
+    what a rule addressing one pool chunk by ``path`` wants, since the
+    ``dispatch`` counter counts every chunk's dispatches.  ``seconds``
     parametrizes ``slow`` and ``hang``.
     """
 
@@ -82,6 +87,8 @@ class ChaosRule:
                 f"unknown fault kind {self.kind!r}; "
                 f"expected one of {CHAOS_FAULT_KINDS}"
             )
+        if self.seconds < 0:
+            raise ValueError(f"seconds must be >= 0, got {self.seconds}")
 
     def matches(self, site: str, op: str, path: str, call: int) -> bool:
         if self.site != "*" and self.site != site:

@@ -91,7 +91,6 @@ def reference_mine(
             for rows in row_subsets:
                 checked += 1
                 stats.nodes_visited += 1
-                stats.kernel_ops += 1
                 if controller is not None and not checked % _CHECK_EVERY:
                     controller.checkpoint(
                         stats, phase="reference", done=checked, total=total
@@ -100,7 +99,6 @@ def reference_mine(
                 if bit_count(columns) < thresholds.min_c:
                     continue
                 # Maximality in the other two axes (closure conditions 1 & 3).
-                stats.kernel_ops += 2
                 if height_support(dataset, rows, columns) != heights:
                     continue
                 if row_support(dataset, heights, columns) != rows:

@@ -170,7 +170,7 @@ def _fold(stats: MiningMetrics, counts: tuple[int, ...]) -> None:
     """Add one stretch of the drain's local tallies into ``stats``.
 
     ``counts`` is laid out as in :func:`_run`'s fold points; the check
-    count (and from it ``kernel_ops`` and the union-memo hits) follows
+    count (and from it the union-memo hits) follows
     from the closure outcomes, so the loop never counts checks itself.
     """
     (
@@ -185,7 +185,6 @@ def _fold(stats: MiningMetrics, counts: tuple[int, ...]) -> None:
         + right_heights + 2 * right_rows + 2 * sons_right
     )
     stats.nodes_visited += nodes
-    stats.kernel_ops += nodes + checks
     stats.leaves_emitted += leaves
     stats.max_stack_depth = max(stats.max_stack_depth, depth)
     stats.closure_cache_misses += misses

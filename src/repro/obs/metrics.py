@@ -72,7 +72,6 @@ class MiningMetrics:
     postprune_checked: int = 0
     postprune_discards: int = 0       # Lemma 1
     # -- substrate / parallel ------------------------------------------
-    kernel_ops: int = 0
     # Kernel auto-selection degradations observed while resolving this
     # run's backend (REPRO_KERNEL named an unavailable kernel, e.g.
     # ``native`` without the built C extension, and resolution fell

@@ -1,6 +1,7 @@
 """Parallel FCC mining (Section 6): supervised pools, checkpointing,
 fault injection, and a scheduler simulator."""
 
+from ..chaos.worker import FaultInjected
 from .checkpoint import (
     CheckpointJournal,
     CheckpointMismatchError,
@@ -8,7 +9,6 @@ from .checkpoint import (
     run_fingerprint,
 )
 from .executor import parallel_cubeminer_mine, parallel_rsm_mine
-from .faults import FAULT_KINDS, Fault, FaultInjected, FaultPlan
 from .sharding import (
     merge_shard_results,
     partition_cubeminer_tasks,
@@ -43,10 +43,7 @@ __all__ = [
     "CheckpointMismatchError",
     "load_journal",
     "run_fingerprint",
-    "FAULT_KINDS",
-    "Fault",
     "FaultInjected",
-    "FaultPlan",
     "RetryPolicy",
     "TaskFailedError",
     "run_supervised",

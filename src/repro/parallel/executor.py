@@ -55,6 +55,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+from ..chaos.plan import ChaosPlan
 from ..core.closure import LaneClosure
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
@@ -78,7 +79,6 @@ from ..obs import (
 from ..rsm.algorithm import resolve_base_axis
 from ..rsm.slices import representative_slice
 from .checkpoint import CheckpointJournal, run_fingerprint
-from .faults import FaultPlan
 from .sharding import (
     merge_shard_results,
     partition_cubeminer_tasks,
@@ -158,7 +158,6 @@ def _rsm_worker_chunk(
         for done, heights in enumerate(height_masks, start=1):
             size = heights.bit_count()
             stats.rs_slices_mined += 1
-            stats.kernel_ops += 1
             rs = representative_slice(dataset, heights)
             patterns = miner.mine(
                 rs, min_rows=thresholds.min_r, min_columns=thresholds.min_c
@@ -170,7 +169,6 @@ def _rsm_worker_chunk(
                 if volume < thresholds.min_volume:
                     continue
                 stats.postprune_checked += 1
-                stats.kernel_ops += 1
                 if lanes.height_closed(heights, pattern.rows, pattern.columns):
                     n_kept += 1
                     found.append((heights, pattern.rows, pattern.columns))
@@ -353,7 +351,7 @@ def parallel_rsm_mine(
     backoff: float = 0.1,
     checkpoint_path: "str | Path | None" = None,
     resume: bool = False,
-    fault_plan: FaultPlan | None = None,
+    fault_plan: ChaosPlan | None = None,
     metrics: MiningMetrics | None = None,
     on_event: EventSink | None = None,
     progress: "ProgressController | callable | None" = None,
@@ -510,7 +508,7 @@ def parallel_cubeminer_mine(
     backoff: float = 0.1,
     checkpoint_path: "str | Path | None" = None,
     resume: bool = False,
-    fault_plan: FaultPlan | None = None,
+    fault_plan: ChaosPlan | None = None,
     metrics: MiningMetrics | None = None,
     on_event: EventSink | None = None,
     progress: "ProgressController | callable | None" = None,

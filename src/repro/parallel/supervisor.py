@@ -32,10 +32,14 @@ clean run.  Supervision events (:class:`~repro.obs.events.TaskFailed`,
 :class:`~repro.obs.events.CheckpointWritten`) fire on the driver side,
 so they reach ``on_event`` sinks even for pool runs.
 
-The deterministic fault-injection plans of
-:mod:`repro.parallel.faults` plug in through ``fault_plan`` and fire
-inside workers only — the test suite's recovery guarantees rest on
-this module.
+Fault injection plugs in through ``fault_plan``, a
+:class:`~repro.chaos.plan.ChaosPlan` that never leaves this process: at
+each pool dispatch the supervisor draws at site ``worker``, op
+``dispatch``, with path ``chunk_path(chunk, attempt)``
+(:func:`~repro.chaos.worker.chunk_path`), and ships the drawn fault in
+the task payload as a plain block that the worker fires before mining.
+The inline path never draws, so degraded execution cannot fault — the
+test suite's recovery guarantees rest on this module.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from concurrent.futures import process as _futures_process
 from dataclasses import dataclass
 from multiprocessing import get_context
 
+from ..chaos.plan import ChaosPlan
+from ..chaos.worker import chunk_path, fire_worker_fault, worker_block
 from ..obs import (
     CheckpointWritten,
     EventSink,
@@ -59,7 +65,6 @@ from ..obs import (
     TaskRetried,
 )
 from .checkpoint import CheckpointJournal
-from .faults import FaultPlan
 
 __all__ = ["RetryPolicy", "TaskFailedError", "run_supervised"]
 
@@ -130,21 +135,10 @@ class TaskFailedError(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker-side wrapper (top level: must be picklable)
 # ----------------------------------------------------------------------
-_worker_fault_plan: FaultPlan | None = None
-
-
-def _init_supervised_worker(initializer, initargs, fault_plan) -> None:
-    global _worker_fault_plan
-    _worker_fault_plan = fault_plan
-    if initializer is not None:
-        initializer(*initargs)
-
-
 def _run_chunk(payload):
-    """Execute one chunk in a pool worker, firing any injected fault."""
-    worker_fn, chunk_id, attempt, items = payload
-    if _worker_fault_plan is not None:
-        _worker_fault_plan.fire(chunk_id, attempt)
+    """Execute one chunk in a pool worker, firing any shipped fault."""
+    worker_fn, chunk_id, fault, items = payload
+    fire_worker_fault(fault)
     part, tallies = worker_fn(items)
     return chunk_id, part, tallies
 
@@ -189,7 +183,7 @@ def run_supervised(
     sink: EventSink | None = None,
     phase: str = "parallel",
     journal: CheckpointJournal | None = None,
-    fault_plan: FaultPlan | None = None,
+    fault_plan: ChaosPlan | None = None,
 ) -> tuple[list, dict]:
     """Run ``worker_fn`` over ``chunks`` with supervision and recovery.
 
@@ -249,7 +243,7 @@ def run_supervised(
     remaining = [cid for cid in range(n_chunks) if cid not in results]
 
     def run_inline(chunk_ids: list[int]) -> None:
-        """Degraded/sequential path: faults never fire in-process."""
+        """Degraded/sequential path: never draws, so it cannot fault."""
         if initializer is not None:
             initializer(*initargs)
         for chunk_id in chunk_ids:
@@ -349,8 +343,8 @@ def run_supervised(
                 executor = ProcessPoolExecutor(
                     max_workers=n_workers,
                     mp_context=ctx,
-                    initializer=_init_supervised_worker,
-                    initargs=(initializer, initargs, fault_plan),
+                    initializer=initializer,
+                    initargs=initargs,
                 )
             now = time.monotonic()
             # Submit ready chunks up to one per worker, preserving order.
@@ -365,10 +359,17 @@ def run_supervised(
                     if policy.task_timeout is not None
                     else float("inf")
                 )
+                fault = (
+                    worker_block(fault_plan.draw(
+                        "worker", "dispatch", chunk_path(chunk_id, attempt)
+                    ))
+                    if fault_plan is not None
+                    else None
+                )
                 try:
                     future = executor.submit(
                         _run_chunk,
-                        (worker_fn, chunk_id, attempt, chunks[chunk_id]),
+                        (worker_fn, chunk_id, fault, chunks[chunk_id]),
                     )
                 except (BrokenExecutor, RuntimeError) as error:
                     # Pool died between waves; requeue and respawn.

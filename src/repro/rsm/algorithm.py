@@ -215,14 +215,12 @@ def _mine_base_height(
                 for heights, rs in iter_size_slices(dataset, size):
                     n_enumerated += 1
                     metrics.rs_slices_mined += 1
-                    metrics.kernel_ops += 1
                     patterns = miner.mine(rs, min_rows=min_r, min_columns=min_c)
                     metrics.fcp_patterns += len(patterns)
                     n_kept = 0
                     for pattern in patterns:
                         if size * pattern.row_support * pattern.column_support < min_volume:
                             continue
-                        metrics.kernel_ops += 1
                         kept = lanes.height_closed(heights, pattern.rows, pattern.columns)
                         prune.record(kept)
                         if kept:

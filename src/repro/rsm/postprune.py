@@ -23,18 +23,13 @@ def height_closed_in(
     heights: int,
     rows: int,
     columns: int,
-    *,
-    metrics: MiningMetrics | None = None,
 ) -> bool:
     """True when no height outside ``heights`` covers ``rows x columns``.
 
     This is Lemma 1's retention condition — the same predicate as
     CubeMiner's Hcheck (Lemma 4): one kernel support sweep over the
-    heights outside the subset must come back empty.  When ``metrics``
-    is given, the sweep is tallied into ``kernel_ops``.
+    heights outside the subset must come back empty.
     """
-    if metrics is not None:
-        metrics.kernel_ops += 1
     outside = full_mask(dataset.n_heights) & ~heights
     return (
         dataset.kernel.grid_supporting_heights(

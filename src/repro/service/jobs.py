@@ -66,6 +66,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..chaos.io import IOShim, StoreCorruptionError, sha256_bytes
+from ..chaos.worker import fire_worker_fault
 from ..core.dataset import Dataset3D
 from ..core.result import MiningResult
 from ..obs import MiningCancelled, event_to_dict
@@ -142,15 +143,10 @@ def run_job_worker(job_dir: str) -> int:
         return 1
 
     # Injected worker faults cross the process boundary through the
-    # manifest (the worker has no shim): a crash exits before any
-    # output, a hang stalls before the event journal even opens — so
-    # neither leaves a heartbeat, exactly like the real failure.
-    fault = manifest.get("chaos") or None
-    if fault:
-        if fault.get("kind") == "crash":
-            os._exit(13)
-        if fault.get("kind") == "hang":
-            time.sleep(float(fault.get("seconds", 30.0)))
+    # manifest (the worker has no shim) and fire before the event
+    # journal even opens — so a crash or hang leaves no heartbeat,
+    # exactly like the real failure.
+    fire_worker_fault(manifest.get("chaos"))
 
     events_path = directory / "events.jsonl"
     heartbeat_interval = float(manifest.get("heartbeat_interval", 1.0))

@@ -173,7 +173,6 @@ def _maintain_applied(
                     volume = size * pattern.row_support * pattern.column_support
                     if volume < thresholds.min_volume:
                         continue
-                    metrics.kernel_ops += 1
                     if lanes.height_closed(heights, pattern.rows, pattern.columns):
                         triples.add((heights, pattern.rows, pattern.columns))
 

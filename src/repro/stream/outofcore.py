@@ -357,8 +357,6 @@ def _mine_streaming(
                 # the in-memory miners' LaneClosure: its lane tables
                 # would hold the whole tensor as Python ints and break
                 # the bounded-RSS promise.
-                if height_closed_in(
-                    dataset, heights, pattern.rows, pattern.columns, metrics=metrics
-                ):
+                if height_closed_in(dataset, heights, pattern.rows, pattern.columns):
                     cubes.append(Cube(heights, pattern.rows, pattern.columns))
     return cubes

@@ -239,7 +239,6 @@ def test_memo_counters_count_the_closure_checks(monkeypatch, dataset):
     assert checks > 0
     assert stats["closure_cache_hits"] + stats["closure_cache_misses"] == checks
     assert stats["closure_cache_misses"] == unions
-    assert stats["kernel_ops"] == stats["nodes_visited"] + checks
 
 
 def test_counters_surface_through_result_stats():

@@ -203,8 +203,6 @@ class TestCancellation:
                 for reason, count in metrics.prune_counts().items()
                 if count
             } == prunes
-            checks = metrics.closure_cache_hits + metrics.closure_cache_misses
-            assert metrics.kernel_ops == metrics.nodes_visited + checks
 
         controller = ProgressController(
             on_progress=snapshot, check_every=check_every, min_interval=0
@@ -327,10 +325,15 @@ class TestMiningStats:
 
     def test_round_trip(self, paper_ds, paper_thresholds):
         stats = rsm_mine(paper_ds, paper_thresholds).stats
-        clone = MiningStats.from_dict(stats.to_dict())
-        assert clone.to_dict() == stats.to_dict()
-        assert clone["representative_slices"] == stats["representative_slices"]
-        assert clone.metrics.rs_slices_mined == stats.metrics.rs_slices_mined
+        # A result stored before ``kernel_ops`` was removed still loads:
+        # the unknown counter is ignored, every other one survives.
+        stored = stats.to_dict()
+        stored["metrics"] = dict(stored["metrics"], kernel_ops=13)
+        for payload in (stats.to_dict(), stored):
+            clone = MiningStats.from_dict(payload)
+            assert clone.to_dict() == stats.to_dict()
+            assert clone["representative_slices"] == stats["representative_slices"]
+            assert clone.metrics.rs_slices_mined == stats.metrics.rs_slices_mined
 
     def test_legacy_flat_dict_coerced(self):
         stats = MiningStats.from_dict({"n_tasks": 7, "n_workers": 2})

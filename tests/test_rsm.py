@@ -126,7 +126,6 @@ class TestLemma1Split:
         assert metrics.postprune_checked == len(answers)
         assert metrics.postprune_discards == answers.count(False) == len(discards)
         assert len(result) == answers.count(True)
-        assert metrics.kernel_ops == metrics.rs_slices_mined + len(answers)
         if min_volume > 1:  # the volume floor skips some patterns unchecked
             assert metrics.postprune_checked < metrics.fcp_patterns
 

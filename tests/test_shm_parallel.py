@@ -17,13 +17,13 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosPlan, ChaosRule, chunk_path
 from repro.core.constraints import Thresholds
 from repro.core.kernels import available_kernels, get_kernel
 from repro.cubeminer.algorithm import cubeminer_mine
 from repro.datasets import paper_example, random_tensor
 from repro.parallel import (
     SHM_PREFIX,
-    FaultPlan,
     ShmDatasetRef,
     ShmError,
     ShmManager,
@@ -254,7 +254,13 @@ class TestShmUnderFaults:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_crash_and_exception_recovery_parity(self, dataset, thresholds, driver):
         clean = driver(dataset, thresholds, n_workers=2, use_shm=True)
-        plan = FaultPlan.random(8, 3, kinds=("crash", "exception"), seed=11)
+        # Eight chunks, so at most 8 + 2 * (faults fired) dispatches:
+        # within that bound this seed fires one exception and one crash,
+        # both among the first eight draws, so both kinds always fire
+        # and no chunk can exhaust its retry budget.
+        plan = ChaosPlan.random(
+            26, rate=0.2, kinds=("crash", "exception"), sites=("worker",)
+        )
         faulty = driver(
             dataset,
             thresholds,
@@ -269,7 +275,12 @@ class TestShmUnderFaults:
 
     def test_hang_recovery_under_timeout(self, dataset, thresholds):
         clean = parallel_rsm_mine(dataset, thresholds, n_workers=2, use_shm=True)
-        plan = FaultPlan.single(1, "hang", seconds=30.0)
+        plan = ChaosPlan((
+            ChaosRule(
+                "hang", site="worker", op="dispatch",
+                path=chunk_path(1, 0), calls=None, seconds=30.0,
+            ),
+        ))
         faulty = parallel_rsm_mine(
             dataset,
             thresholds,
@@ -287,7 +298,12 @@ class TestShmUnderFaults:
         self, dataset, thresholds
     ):
         clean = parallel_rsm_mine(dataset, thresholds, n_workers=2, use_shm=True)
-        plan = FaultPlan.single(0, "crash", attempts=None)
+        plan = ChaosPlan((
+            ChaosRule(
+                "crash", site="worker", op="dispatch",
+                path=chunk_path(0), calls=None,
+            ),
+        ))
         degraded = parallel_rsm_mine(
             dataset,
             thresholds,

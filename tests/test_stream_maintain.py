@@ -195,8 +195,7 @@ def test_metrics_counters_and_stream_extra():
 @pytest.mark.parametrize("min_volume", [1, 10])
 def test_remine_postprune_matches_the_kernel_sweep(monkeypatch, min_volume):
     """Pass 2's lane-packed Lemma 1 keeps and discards exactly what the
-    kernel sweep does on a random cell-edit batch, and ``kernel_ops``
-    tallies the same checks."""
+    kernel sweep does on a random cell-edit batch."""
     ds = random_tensor((5, 6, 7), 0.6, seed=29)
     th = Thresholds(2, 2, 2, min_volume=min_volume)
     base = mine(ds, th, algorithm="rsm")
@@ -211,7 +210,6 @@ def test_remine_postprune_matches_the_kernel_sweep(monkeypatch, min_volume):
     metrics = MiningMetrics()
     new_ds, maintained = maintain(ds, base, deltas, th, metrics=metrics)
     assert True in answers and False in answers
-    assert metrics.kernel_ops == len(answers)
     assert _keys(maintained) == _keys(mine(new_ds, th, algorithm="rsm"))
     for cube in maintained:
         assert height_closed_in(new_ds, cube.heights, cube.rows, cube.columns)

@@ -1,16 +1,20 @@
 """Fault-injection tests for the supervised parallel drivers.
 
-The acceptance bar: under a seeded :class:`FaultPlan` injecting crash,
-hang and exception faults, both parallel drivers return results
-identical to a clean run — same cube list (set *and* order) and the
-same merged metric totals — and recovery never double-counts a retried
-chunk's tallies.
+The acceptance bar: under a :class:`ChaosPlan` injecting crash, hang
+and exception faults into pool dispatches, both parallel drivers
+return results identical to a clean run — same cube list (set *and*
+order) and the same merged metric totals — and recovery never
+double-counts a retried chunk's tallies.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.chaos import ChaosPlan, ChaosRule, FaultInjected, chunk_path
+from repro.chaos.worker import worker_block
 from repro.core.constraints import Thresholds
 from repro.datasets import random_tensor
 from repro.obs import (
@@ -21,9 +25,6 @@ from repro.obs import (
     TaskRetried,
 )
 from repro.parallel import (
-    Fault,
-    FaultInjected,
-    FaultPlan,
     RetryPolicy,
     TaskFailedError,
     parallel_cubeminer_mine,
@@ -31,6 +32,19 @@ from repro.parallel import (
 )
 
 DRIVERS = [parallel_rsm_mine, parallel_cubeminer_mine]
+
+
+def worker_rule(kind: str, chunk: int, attempt: "int | None" = 0, **kwargs):
+    """A rule striking pool dispatches of ``chunk`` — one attempt, or
+    every attempt when ``attempt`` is ``None``."""
+    return ChaosRule(
+        kind, site="worker", op="dispatch",
+        path=chunk_path(chunk, attempt), calls=None, **kwargs,
+    )
+
+
+def single(kind: str, chunk: int, attempt: "int | None" = 0, **kwargs):
+    return ChaosPlan((worker_rule(kind, chunk, attempt, **kwargs),))
 
 
 @pytest.fixture(scope="module")
@@ -72,40 +86,87 @@ class TestRetryPolicy:
 
 
 class TestFaultPlan:
+    """The worker-fault vocabulary of :mod:`repro.chaos`, without a pool."""
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            Fault("meteor")
+            ChaosRule("meteor")
 
     def test_negative_seconds_rejected(self):
         with pytest.raises(ValueError, match="seconds"):
-            Fault("slow", seconds=-1.0)
+            ChaosRule("slow", seconds=-1.0)
 
     def test_default_fires_on_first_attempt_only(self):
-        fault = Fault("exception")
-        assert fault.applies_to(0) and not fault.applies_to(1)
+        rule = worker_rule("exception", 0)
+        assert rule.matches("worker", "dispatch", chunk_path(0, 0), 0)
+        assert not rule.matches("worker", "dispatch", chunk_path(0, 1), 1)
 
     def test_permanent_fault_fires_always(self):
-        fault = Fault("crash", attempts=None)
-        assert fault.applies_to(0) and fault.applies_to(7)
+        rule = worker_rule("crash", 0, attempt=None)
+        for call, attempt in enumerate((0, 1, 7)):
+            assert rule.matches("worker", "dispatch", chunk_path(0, attempt), call)
+
+    def test_path_addressing_is_exact(self):
+        """``path`` is a substring match; the key must not let chunk 1
+        fire on chunk 11, nor attempt 1 on attempt 10."""
+        chunk_one = worker_rule("crash", 1, attempt=None)
+        assert chunk_one.matches("worker", "dispatch", chunk_path(1, 3), 0)
+        assert not chunk_one.matches("worker", "dispatch", chunk_path(11, 0), 0)
+        assert not chunk_one.matches("worker", "dispatch", chunk_path(21, 1), 0)
+        attempt_one = worker_rule("crash", 0, attempt=1)
+        assert attempt_one.matches("worker", "dispatch", chunk_path(0, 1), 0)
+        assert not attempt_one.matches("worker", "dispatch", chunk_path(0, 10), 0)
+        assert not attempt_one.matches("worker", "dispatch", chunk_path(10, 1), 0)
+        plan = ChaosPlan((chunk_one,))
+        fired = [
+            plan.draw("worker", "dispatch", chunk_path(chunk, attempt))
+            is not None
+            for chunk, attempt in ((1, 0), (11, 0), (1, 1), (1, 10), (10, 1))
+        ]
+        assert fired == [True, False, True, True, False]
 
     def test_random_is_seeded_and_bounded(self):
-        a = FaultPlan.random(10, 3, seed=42)
-        b = FaultPlan.random(10, 3, seed=42)
-        assert a.faults.keys() == b.faults.keys()
-        assert [f.kind for f in a.faults.values()] == [
-            f.kind for f in b.faults.values()
-        ]
-        assert len(a) == 3
-        assert all(0 <= index < 10 for index in a.faults)
-        assert len(FaultPlan.random(2, 5, seed=0)) == 2  # clamped
+        paths = [chunk_path(chunk, 0) for chunk in range(40)]
 
-    def test_fire_is_noop_in_driver_process(self):
-        plan = FaultPlan.single(0, "exception")
-        plan.fire(0, 0)  # would raise in a worker; driver pid skips
+        def draws(seed):
+            plan = ChaosPlan.random(
+                seed, rate=0.3, kinds=("crash", "exception"), sites=("worker",)
+            )
+            assert plan.draw("cache", "write", "x") is None  # site-bounded
+            for path in paths:
+                plan.draw("worker", "dispatch", path)
+            return plan.trace()
 
-    def test_non_fault_value_rejected(self):
-        with pytest.raises(TypeError, match="expected a Fault"):
-            FaultPlan(faults={0: "crash"})
+        trace = draws(42)
+        assert trace == draws(42)
+        assert 0 < len(trace) < len(paths)
+        assert {entry["kind"] for entry in trace} == {"crash", "exception"}
+        assert all(entry["site"] == "worker" for entry in trace)
+
+    def test_fire_is_noop_in_driver_process(self, dataset, thresholds):
+        """The inline path never draws, so it cannot fault."""
+        plan = single("crash", 0, attempt=None)
+        clean = parallel_rsm_mine(dataset, thresholds, n_workers=1)
+        inline = parallel_rsm_mine(
+            dataset, thresholds, n_workers=1, fault_plan=plan
+        )
+        assert_same_run(clean, inline)
+        assert plan.trace() == []
+
+    def test_block_survives_pickling(self):
+        for rule in (
+            worker_rule("crash", 0),
+            worker_rule("hang", 0, seconds=2.0),
+            worker_rule("slow", 0, seconds=0.5),
+            worker_rule("exception", 0),
+        ):
+            block = worker_block(rule)
+            assert pickle.loads(pickle.dumps(block)) == block
+        assert worker_block(worker_rule("hang", 0, seconds=2.0)) == {
+            "kind": "hang", "seconds": 2.0,
+        }
+        assert worker_block(ChaosRule("enospc")) is None
+        assert worker_block(None) is None
 
 
 class TestFaultRecovery:
@@ -113,13 +174,11 @@ class TestFaultRecovery:
     def test_crash_hang_exception_parity(self, dataset, thresholds, driver):
         """The headline guarantee: a faulty run equals a clean run."""
         clean = driver(dataset, thresholds, n_workers=2)
-        plan = FaultPlan(
-            faults={
-                0: Fault("crash"),
-                2: Fault("exception"),
-                4: Fault("hang", seconds=30.0),
-            }
-        )
+        plan = ChaosPlan((
+            worker_rule("crash", 0),
+            worker_rule("exception", 2),
+            worker_rule("hang", 4, seconds=30.0),
+        ))
         recovered = driver(
             dataset,
             thresholds,
@@ -141,7 +200,14 @@ class TestFaultRecovery:
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_seeded_random_plan_parity(self, dataset, thresholds, driver):
         clean = driver(dataset, thresholds, n_workers=2)
-        plan = FaultPlan.random(8, 2, kinds=("crash", "exception"), seed=7)
+        # Eight chunks, so at most 8 + 2 * (faults fired) dispatches:
+        # within that bound this seed fires crash, exception, crash, all
+        # among the first eight draws — never three exceptions on one
+        # chunk, whatever the completion order, so the retry budget
+        # cannot run out.
+        plan = ChaosPlan.random(
+            2, rate=0.2, kinds=("crash", "exception"), sites=("worker",)
+        )
         recovered = driver(
             dataset, thresholds, n_workers=2, fault_plan=plan, backoff=0.01
         )
@@ -149,7 +215,7 @@ class TestFaultRecovery:
 
     def test_slow_fault_is_benign(self, dataset, thresholds):
         clean = parallel_rsm_mine(dataset, thresholds, n_workers=2)
-        plan = FaultPlan.single(1, "slow", seconds=0.2)
+        plan = single("slow", 1, seconds=0.2)
         recovered = parallel_rsm_mine(
             dataset, thresholds, n_workers=2, fault_plan=plan
         )
@@ -159,7 +225,7 @@ class TestFaultRecovery:
         assert recovery["pool_restarts"] == 0
 
     def test_retry_budget_exhaustion_raises(self, dataset, thresholds):
-        plan = FaultPlan.single(1, "exception", attempts=None)
+        plan = single("exception", 1, attempt=None)
         with pytest.raises(TaskFailedError) as excinfo:
             parallel_rsm_mine(
                 dataset,
@@ -177,7 +243,7 @@ class TestFaultRecovery:
     def test_permanent_crash_degrades_inline(self, dataset, thresholds, driver):
         """An irrecoverable pool falls back to sequential execution."""
         clean = driver(dataset, thresholds, n_workers=2)
-        plan = FaultPlan.single(0, "crash", attempts=None)
+        plan = single("crash", 0, attempt=None)
         recovered = driver(
             dataset, thresholds, n_workers=2, fault_plan=plan, backoff=0.01
         )
@@ -189,7 +255,7 @@ class TestFaultRecovery:
     def test_hang_detected_by_timeout(self, dataset, thresholds):
         """A lone hang fault deterministically trips the task timeout."""
         clean = parallel_rsm_mine(dataset, thresholds, n_workers=2)
-        plan = FaultPlan.single(1, "hang", seconds=30.0)
+        plan = single("hang", 1, seconds=30.0)
         recovered = parallel_rsm_mine(
             dataset,
             thresholds,
@@ -207,7 +273,7 @@ class TestFaultRecovery:
         # Single-kind plans keep this deterministic: with no pool break
         # in flight, an attempt-0 fault is guaranteed to fire.
         sink = CollectingSink()
-        plan = FaultPlan.single(2, "exception")
+        plan = single("exception", 2)
         parallel_rsm_mine(
             dataset,
             thresholds,
@@ -228,7 +294,7 @@ class TestFaultRecovery:
             dataset,
             thresholds,
             n_workers=2,
-            fault_plan=FaultPlan.single(0, "crash"),
+            fault_plan=single("crash", 0),
             backoff=0.01,
             on_event=sink,
         )
@@ -246,10 +312,9 @@ class TestFaultRecovery:
         }
 
     def test_fault_injected_survives_pickling(self):
-        import pickle
-
-        error = pickle.loads(pickle.dumps(FaultInjected(3, 1)))
-        assert (error.chunk, error.attempt) == (3, 1)
+        error = pickle.loads(pickle.dumps(FaultInjected("chunk 3")))
+        assert type(error) is FaultInjected
+        assert str(error) == "chunk 3"
 
 
 class TestCancellationShapeParity:
