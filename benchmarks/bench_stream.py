@@ -8,7 +8,9 @@ height slice; dirties nothing, so maintenance is the patch pass alone)
 and a *cell-edit* batch confined to one height (re-mines only the
 subsets through that height).  Each maintained result is produced by
 :func:`repro.stream.maintain` and compared against re-mining the
-edited tensor from scratch.  ``--check`` gates the expiry speedup at
+edited tensor from scratch; the report says which path maintenance took
+(``"patch"``, or ``"remine"`` when its cost model priced patching
+above a fresh mine).  ``--check`` gates the expiry speedup at
 ``--min-speedup`` (default 2x); the cell-edit speedup is reported
 alongside (its theoretical ceiling is ~2x — half the height subsets
 contain any given dirty height — so it is informational).
@@ -115,6 +117,7 @@ def bench_maintainer(rounds: int) -> dict:
             "subsets_remined": metrics.subsets_remined,
             "cubes_patched": metrics.cubes_patched,
             "cubes": len(maintained),
+            "path": maintained.stats.extra["stream"]["path"],
         }
     return report
 
@@ -243,7 +246,7 @@ def _print(report: dict) -> None:
         print(
             f"  {name:<7} maintain    : {row['maintain_seconds']}s vs fresh "
             f"{row['fresh_mine_seconds']}s -> {row['speedup']}x "
-            f"({row['subsets_remined']} subsets re-mined, "
+            f"({row['path']}: {row['subsets_remined']} subsets re-mined, "
             f"{row['cubes_patched']} cubes patched)"
         )
     ooc = report.get("outofcore")

@@ -36,6 +36,7 @@ from pathlib import Path
 import bench_ablation
 import bench_kernels
 import bench_perf
+import bench_plan
 import bench_robustness
 import bench_stream
 import bench_fig2_ordering
@@ -60,6 +61,7 @@ MODULES = [
     bench_kernels,
     bench_perf,
     bench_stream,
+    bench_plan,
 ]
 
 

@@ -33,7 +33,7 @@ from .obs import (
 )
 from .options import CubeMinerOptions, ParallelOptions, ReferenceOptions, RSMOptions
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "mine",

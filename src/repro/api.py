@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core.constraints import Thresholds
-from .core.cube import Cube
 from .core.dataset import Dataset3D
 from .core.kernels import Kernel
+from .core.permute import cube_builder
 from .core.result import MiningResult
 from .obs import EventSink, MiningCancelled, MiningMetrics, ProgressController
 from .options import (
@@ -154,6 +154,12 @@ def _load_parallel_rsm() -> MinerFn:
     return parallel_rsm_mine
 
 
+def _load_auto() -> MinerFn:
+    from .plan import plan_mine
+
+    return plan_mine
+
+
 register_algorithm(
     "cubeminer",
     _load_cubeminer,
@@ -184,6 +190,12 @@ register_algorithm(
     options_type=ParallelOptions,
     description="Representative slices fanned across worker processes.",
 )
+register_algorithm(
+    "auto",
+    _load_auto,
+    description="CubeMiner or RSM over the cheapest axis, by estimated cost "
+    "(repro.plan); takes no options.",
+)
 
 
 def mine(
@@ -213,7 +225,11 @@ def mine(
         on the 3D tensor directly; ``"rsm"`` enumerates a base dimension
         and reuses a 2D FCP miner; ``"reference"`` is the exponential
         oracle (tiny inputs only); the ``parallel-*`` variants fan the
-        task decomposition of Section 6 across worker processes.
+        task decomposition of Section 6 across worker processes;
+        ``"auto"`` picks CubeMiner or RSM over the cheapest base axis
+        from the shape, the number of ones and the thresholds
+        (:func:`repro.plan.plan`) and records the choice in
+        ``stats.extra["plan"]``.
     auto_transpose:
         When True, permute axes so the column axis is the largest before
         mining (CubeMiner's preprocessing heuristic) and map the found
@@ -324,20 +340,11 @@ def _mine_transposed(
         return _dispatch(dataset, thresholds, spec, kwargs)
     transposed = dataset.transpose(order)  # type: ignore[arg-type]
 
+    build = cube_builder(order)  # type: ignore[arg-type]
+
     def map_back(result: MiningResult) -> MiningResult:
-        # order[new_axis] = old_axis; build the reverse map old -> new.
-        inverse = [0, 0, 0]
-        for new_axis, old_axis in enumerate(order):
-            inverse[old_axis] = new_axis
-        remapped = [
-            Cube(*(
-                (cube.heights, cube.rows, cube.columns)[inverse[old_axis]]
-                for old_axis in range(3)
-            ))
-            for cube in result.cubes
-        ]
         return MiningResult(
-            cubes=remapped,
+            cubes=[build(c.heights, c.rows, c.columns) for c in result.cubes],
             algorithm=result.algorithm + "+transpose",
             thresholds=thresholds,
             dataset_shape=dataset.shape,

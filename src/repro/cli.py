@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--min-r", type=int, default=2)
     submit.add_argument("--min-c", type=int, default=2)
     submit.add_argument("--min-volume", type=int, default=1)
-    submit.add_argument("--algorithm", choices=ALGORITHMS, default="cubeminer")
+    submit.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     submit.add_argument("--no-cache", dest="use_cache", action="store_false",
                         help="force a fresh mine past the result cache")
     submit.add_argument("--no-wait", dest="wait", action="store_false",
@@ -417,7 +417,9 @@ def _options_from_args(args: argparse.Namespace):
             order=HeightOrder(args.order),
             **fault_tolerance,
         )
-    return ReferenceOptions()
+    if args.algorithm == "reference":
+        return ReferenceOptions()
+    return None
 
 
 def _print_progress(update) -> None:
@@ -858,7 +860,8 @@ def _update(args: argparse.Namespace) -> int:
         f"  {stream.get('deltas_applied', 0)} delta(s) applied, "
         f"{stream.get('dirty_heights', 0)} dirty height(s), "
         f"{stream.get('cubes_patched', 0)} cube(s) patched, "
-        f"{stream.get('subsets_remined', 0)} subset(s) re-mined"
+        f"{stream.get('subsets_remined', 0)} subset(s) re-mined "
+        f"({stream.get('path', 'patch')} path)"
     )
     if args.show:
         for cube in list(maintained)[: args.show]:

@@ -154,7 +154,7 @@ get_optional_buffer(PyObject *obj, Py_buffer *view, int *present)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_fold_and(PyObject *self, PyObject *args)
+native_fold_and(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer masks, out;
     PyObject *select_obj;
@@ -206,7 +206,7 @@ native_fold_and(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_popcounts(PyObject *self, PyObject *args)
+native_popcounts(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer masks;
     Py_ssize_t n_rows, n_words;
@@ -245,7 +245,7 @@ native_popcounts(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_supersets_of(PyObject *self, PyObject *args)
+native_supersets_of(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer masks, sub, out;
     Py_ssize_t n_rows, n_words;
@@ -280,7 +280,7 @@ native_supersets_of(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_and_many(PyObject *self, PyObject *args)
+native_and_many(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer a, b, out;
     Py_ssize_t total;
@@ -317,7 +317,7 @@ native_and_many(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_grid_fold_rows(PyObject *self, PyObject *args)
+native_grid_fold_rows(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer grid, heights, out;
     Py_ssize_t l, n, words;
@@ -371,7 +371,7 @@ native_grid_fold_rows(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_grid_fold_and(PyObject *self, PyObject *args)
+native_grid_fold_and(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer grid, heights, rows, out;
     Py_ssize_t l, n, words;
@@ -417,7 +417,7 @@ native_grid_fold_and(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_grid_supporting_heights(PyObject *self, PyObject *args)
+native_grid_supporting_heights(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer grid, rows, columns, out;
     PyObject *cand_obj;
@@ -477,7 +477,7 @@ native_grid_supporting_heights(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_grid_supporting_rows(PyObject *self, PyObject *args)
+native_grid_supporting_rows(PyObject *Py_UNUSED(self), PyObject *args)
 {
     Py_buffer grid, heights, columns, out;
     PyObject *cand_obj;
@@ -536,7 +536,7 @@ native_grid_supporting_rows(PyObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-native_features(PyObject *self, PyObject *Py_UNUSED(ignored))
+native_features(PyObject *Py_UNUSED(self), PyObject *Py_UNUSED(ignored))
 {
     return Py_BuildValue(
         "{s:s, s:s, s:i}",
@@ -573,6 +573,10 @@ static struct PyModuleDef native_module = {
     "C primitives for the packed-uint64 native bitset kernel.",
     -1,
     native_methods,
+    NULL,
+    NULL,
+    NULL,
+    NULL,
 };
 
 PyMODINIT_FUNC

@@ -8,9 +8,17 @@ helpers map them back.
 
 from __future__ import annotations
 
+from operator import itemgetter
+from typing import Callable
+
 from .cube import Cube
 
-__all__ = ["inverse_order", "map_cube_from_transposed", "order_moving_axis_first"]
+__all__ = [
+    "cube_builder",
+    "inverse_order",
+    "map_cube_from_transposed",
+    "order_moving_axis_first",
+]
 
 
 def inverse_order(order: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -23,11 +31,25 @@ def inverse_order(order: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(inv)  # type: ignore[return-value]
 
 
+def cube_builder(order: tuple[int, int, int]) -> Callable[[int, int, int], Cube]:
+    """A ``build(a, b, c) -> Cube`` for masks found in a transposed dataset.
+
+    The permutation is resolved once here, so a miner can build each
+    result cube once, directly in the original axis order.
+    """
+    if order == (0, 1, 2):
+        return Cube
+    pick = itemgetter(*inverse_order(order))
+
+    def build(a: int, b: int, c: int) -> Cube:
+        return Cube(*pick((a, b, c)))
+
+    return build
+
+
 def map_cube_from_transposed(cube: Cube, order: tuple[int, int, int]) -> Cube:
     """Map a cube found in a transposed dataset back to original axes."""
-    inv = inverse_order(order)
-    masks = (cube.heights, cube.rows, cube.columns)
-    return Cube(masks[inv[0]], masks[inv[1]], masks[inv[2]])
+    return cube_builder(order)(cube.heights, cube.rows, cube.columns)
 
 
 def order_moving_axis_first(axis: int) -> tuple[int, int, int]:

@@ -61,7 +61,7 @@ from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import AXIS_NAMES, Dataset3D
 from ..core.kernels import Kernel
-from ..core.permute import map_cube_from_transposed, order_moving_axis_first
+from ..core.permute import cube_builder, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
 from ..cubeminer.algorithm import _run
 from ..cubeminer.cutter import Cutter, HeightOrder, build_cutters
@@ -397,7 +397,8 @@ def parallel_rsm_mine(
     transport_extra: dict = {}
 
     def finish(raw: list[tuple[int, int, int]]) -> MiningResult:
-        cubes = [map_cube_from_transposed(Cube(h, r, c), order) for h, r, c in raw]
+        build = cube_builder(order)
+        cubes = [build(h, r, c) for h, r, c in raw]
         extra: dict = {"n_tasks": len(tasks), "n_workers": n_workers}
         extra.update(transport_extra)
         if recovery is not None:

@@ -15,9 +15,10 @@ RSM mines FCCs in three phases:
 
 Each FCC is produced exactly once — by the subset equal to its height
 support set.  The base dimension defaults to heights; ``base_axis``
-transposes internally and maps results back, and ``"auto"`` picks the
-smallest dimension (the paper's heuristic — enumeration cost is
-exponential in the base dimension's size).
+transposes internally and builds each result cube once, in the
+caller's axis order, and ``"auto"`` picks the smallest dimension (the
+paper's heuristic — enumeration cost is exponential in the base
+dimension's size).
 
 Runs carry the same instrumentation surface as CubeMiner: always-on
 :class:`~repro.obs.metrics.MiningMetrics` counters (slices mined, 2D
@@ -36,7 +37,7 @@ from ..core.closure import LaneClosure
 from ..core.constraints import Thresholds
 from ..core.cube import Cube
 from ..core.dataset import Dataset3D
-from ..core.permute import map_cube_from_transposed, order_moving_axis_first
+from ..core.permute import cube_builder, order_moving_axis_first
 from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
 from ..obs import (
@@ -51,8 +52,11 @@ from ..obs import (
     resolve_progress,
 )
 from .postprune import PostPruneStats
-# Lemma 1 runs lane-packed; the kernel-sweep check stays importable here
-# for callers that patch or compare against it by this module's name.
+# Lemma 1 runs lane-packed and cubes are built once in the caller's axis
+# order; the kernel-sweep check and the per-cube mapper stay importable
+# here for callers that patch or compare against them by this module's
+# name.
+from ..core.permute import map_cube_from_transposed  # noqa: F401
 from .postprune import height_closed_in  # noqa: F401
 from .slices import count_height_subsets, iter_size_slices
 
@@ -129,28 +133,28 @@ def rsm_mine(
             )
         )
 
-    order = None if axis == 0 else order_moving_axis_first(axis)
-
-    def map_back(raw_cubes: list[Cube]) -> list[Cube]:
-        if order is None:
-            return raw_cubes
-        return [map_cube_from_transposed(cube, order) for cube in raw_cubes]
-
+    order = order_moving_axis_first(axis)
     if axis == 0:
         working, working_thresholds = dataset, thresholds
     else:
-        working = dataset.transpose(order)  # type: ignore[arg-type]
-        working_thresholds = thresholds.permute(order)  # type: ignore[arg-type]
+        working = dataset.transpose(order)
+        working_thresholds = thresholds.permute(order)
 
     try:
         if controller is not None:
             controller.checkpoint(stats, phase="rsm", done=0)
-        raw_cubes, extra = _mine_base_height(
-            working, working_thresholds, miner, stats, on_event, controller
+        cubes, extra = _mine_base_height(
+            working,
+            working_thresholds,
+            miner,
+            stats,
+            on_event,
+            controller,
+            build=cube_builder(order),
         )
     except MiningCancelled as exc:
         elapsed = time.perf_counter() - start
-        partial_cubes = map_back(list(exc.partial_cubes))
+        partial_cubes = list(exc.partial_cubes)
         exc.metrics = stats
         exc.partial = MiningResult(
             cubes=partial_cubes,
@@ -165,7 +169,7 @@ def rsm_mine(
         raise
 
     result = MiningResult(
-        cubes=map_back(raw_cubes),
+        cubes=cubes,
         algorithm=algorithm,
         thresholds=thresholds,
         dataset_shape=dataset.shape,
@@ -184,12 +188,16 @@ def _mine_base_height(
     metrics: MiningMetrics,
     sink: EventSink | None = None,
     progress: ProgressController | None = None,
+    *,
+    build: Callable[[int, int, int], Cube] = Cube,
 ) -> tuple[list[Cube], dict[str, int]]:
     """RSM's three phases with the height axis as base dimension.
 
-    Returns the found cubes plus the legacy flat stats keys; on
-    cancellation the raised exception carries the cubes found so far in
-    ``partial_cubes``.
+    ``build`` turns each kept ``(heights, rows, columns)`` into the
+    result cube (in the caller's axis order when ``dataset`` is a
+    transpose).  Returns the found cubes plus the legacy flat stats
+    keys; on cancellation the raised exception carries the cubes found
+    so far in ``partial_cubes``.
     """
     min_h, min_r, min_c = thresholds.as_tuple()
     min_volume = thresholds.min_volume
@@ -225,7 +233,7 @@ def _mine_base_height(
                         prune.record(kept)
                         if kept:
                             n_kept += 1
-                            cubes.append(Cube(heights, pattern.rows, pattern.columns))
+                            cubes.append(build(heights, pattern.rows, pattern.columns))
                         elif sink is not None:
                             sink(
                                 PruneEvent(

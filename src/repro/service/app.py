@@ -20,7 +20,8 @@ Endpoints (all JSON; see ``docs/service.md`` for full schemas)::
     GET  /v1/jobs/{id}/result        result document of a done job
     GET  /v1/jobs/{id}/events        event journal; ?after=N&wait=S long-polls
     POST /v1/jobs/{id}/cancel        cancel a queued/running job
-    POST /v1/query                   cache-only query (404 "cache-miss" on miss)
+    POST /v1/query                   cache-only query (404 "cache-miss" on miss;
+                                     algorithm "auto" by default)
     POST /v1/datasets/{fp}/updates   apply a delta batch (registers the
                                      successor dataset, journals the
                                      deltas, queues maintenance jobs
@@ -466,9 +467,15 @@ class ServiceApp:
             raise ServiceError(
                 404, "unknown-dataset", f"dataset {fp!r} is not registered"
             )
-        algorithm = str(payload.get("algorithm", "cubeminer"))
         thresholds = Thresholds.from_dict(payload.get("thresholds") or {})
-        answer = self.cache.lookup(fp, algorithm, thresholds)
+        spec = self.jobs.resolve_auto(
+            JobSpec(
+                dataset=fp,
+                thresholds=thresholds,
+                algorithm=str(payload.get("algorithm", "auto")),
+            )
+        )
+        answer = self.cache.lookup(fp, spec.algorithm, thresholds)
         if answer is None:
             raise ServiceError(
                 404,

@@ -223,7 +223,7 @@ class ServiceClient:
         dataset: Dataset3D | str,
         thresholds: Thresholds,
         *,
-        algorithm: str = "cubeminer",
+        algorithm: str = "auto",
         options: AlgorithmOptions | dict | None = None,
         use_cache: bool = True,
         checkpoint: bool = True,
@@ -333,7 +333,7 @@ class ServiceClient:
         fingerprint: str,
         thresholds: Thresholds,
         *,
-        algorithm: str = "cubeminer",
+        algorithm: str = "auto",
     ) -> ServiceResult | None:
         """Ask the threshold-lattice cache; ``None`` on a miss."""
         try:
@@ -361,7 +361,7 @@ class ServiceClient:
         dataset: Dataset3D | str,
         thresholds: Thresholds,
         *,
-        algorithm: str = "cubeminer",
+        algorithm: str = "auto",
         options: AlgorithmOptions | dict | None = None,
         use_cache: bool = True,
         timeout: float | None = None,

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import shutil
 import time
 import threading
@@ -73,6 +72,7 @@ from ..obs import MiningCancelled, event_to_dict
 from ..obs.metrics import ChaosCounters
 from ..options import options_from_dict
 from ..parallel.checkpoint import journal_status
+from ..plan import plan
 from .cache import ThresholdLatticeCache
 from .registry import DatasetRegistry
 from .schemas import JobRecord, JobSpec, ServiceError
@@ -87,6 +87,10 @@ _PARALLEL_ALGORITHMS = frozenset({"parallel-cubeminer", "parallel-rsm"})
 
 #: Subdirectory of the jobs root holding poison jobs (never requeued).
 QUARANTINE_DIR = "quarantined"
+
+#: Fault-free writes for the paths no chaos schedule may reach: the
+#: worker process (which has no shim of its own) and quarantine.
+_PLAIN_IO = IOShim()
 
 
 # ----------------------------------------------------------------------
@@ -111,9 +115,7 @@ def _write_error(
         doc["retryable"] = True
     if code:
         doc["code"] = code
-    tmp = directory / ".error.json.tmp"
-    tmp.write_text(json.dumps(doc))
-    os.replace(tmp, directory / "error.json")
+    _PLAIN_IO.atomic_write_text("jobs", directory / "error.json", json.dumps(doc))
     emit({"kind": "job-failed", "error": message, "retryable": retryable})
 
 
@@ -255,6 +257,8 @@ def run_job_worker(job_dir: str) -> int:
                             deadline=spec.deadline_seconds,
                         ),
                     )
+                    if spec.plan is not None:
+                        result.stats.extra["plan"] = spec.plan
             except MiningCancelled as error:
                 # A deadline is a property of the request, not an
                 # infrastructure fault: never retried.
@@ -279,12 +283,10 @@ def run_job_worker(job_dir: str) -> int:
             # Digest first, payload second: result.json existing implies
             # its sidecar does too, so verify-on-read never races a
             # half-published pair.
-            tmp = directory / ".result.sha256.tmp"
-            tmp.write_text(sha256_bytes(payload))
-            os.replace(tmp, directory / "result.sha256")
-            tmp = directory / ".result.json.tmp"
-            tmp.write_bytes(payload)
-            os.replace(tmp, directory / "result.json")
+            _PLAIN_IO.atomic_write_text(
+                "jobs", directory / "result.sha256", sha256_bytes(payload)
+            )
+            _PLAIN_IO.atomic_write_bytes("jobs", directory / "result.json", payload)
             emit({"kind": "job-done", "n_cubes": len(result)})
         finally:
             stop_beating.set()
@@ -293,16 +295,20 @@ def run_job_worker(job_dir: str) -> int:
 
 
 def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | None":
-    """Patch the base dataset's cached result through the delta batch.
+    """Bring the base dataset's cached result forward through the deltas.
 
+    :func:`repro.stream.maintain.choose_path` decides from the edited
+    tensor alone whether to patch the base result or re-mine, so the
+    base result is read and decoded only on the patch path.
     Returns ``None`` — telling the caller to mine fresh — whenever the
     incremental path cannot be trusted: base dataset or base result
-    missing/unreadable, thresholds drifted, or the maintained dataset's
+    missing/unreadable, thresholds drifted, or the edited dataset's
     fingerprint disagreeing with the one the job was submitted for.
     """
     from ..io import dataset_fingerprint
-    from ..stream.delta import deltas_from_payload
-    from ..stream.maintain import maintain
+    from ..stream.delta import apply_deltas, deltas_from_payload
+    from ..stream.maintain import choose_path, patch, remine
+    from .cache import load_entry_payload
 
     maintenance = manifest["maintain"]
     base_dataset_path = maintenance.get("base_dataset_path")
@@ -310,25 +316,14 @@ def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | Non
     if not base_dataset_path or not base_result_path:
         emit({"kind": "maintain-fallback", "reason": "base unavailable"})
         return None
-    from .cache import load_entry_payload
-
     try:
         base_dataset = Dataset3D.load_npz(base_dataset_path)
-        base_result = MiningResult.from_payload(
-            load_entry_payload(base_result_path)
-        )
         deltas = deltas_from_payload(maintenance.get("deltas") or [])
+        application = apply_deltas(base_dataset, deltas)
     except Exception as error:  # noqa: BLE001 - any unreadable base mines fresh
-        # A corrupt base result is a reason to mine fresh, not to fail.
         emit({"kind": "maintain-fallback", "reason": str(error)})
         return None
-    if base_result.thresholds != spec.thresholds:
-        emit({"kind": "maintain-fallback", "reason": "threshold mismatch"})
-        return None
-    new_dataset, result = maintain(
-        base_dataset, base_result, deltas, spec.thresholds
-    )
-    fingerprint = dataset_fingerprint(new_dataset)
+    fingerprint = dataset_fingerprint(application.dataset)
     if fingerprint != spec.dataset:
         # The delta batch does not lead from the recorded base to the
         # dataset this job targets — a stale log, not a mining bug.
@@ -340,6 +335,24 @@ def _run_maintenance(manifest: dict, spec: JobSpec, emit) -> "MiningResult | Non
             }
         )
         return None
+    start = time.perf_counter()
+    path, chosen = choose_path(application, spec.thresholds)
+    if path == "remine":
+        result = remine(application, spec.thresholds, chosen)
+    else:
+        try:
+            base_result = MiningResult.from_payload(
+                load_entry_payload(base_result_path)
+            )
+        except Exception as error:  # noqa: BLE001 - a corrupt base mines fresh
+            emit({"kind": "maintain-fallback", "reason": str(error)})
+            return None
+        if base_result.thresholds != spec.thresholds:
+            emit({"kind": "maintain-fallback", "reason": "threshold mismatch"})
+            return None
+        result = patch(application, base_result, spec.thresholds)
+    result.stats.extra["plan"] = chosen.to_dict()
+    result.elapsed_seconds = time.perf_counter() - start
     stream_stats = result.stats.extra.get("stream", {})
     emit({"kind": "maintain-done", **stream_stats})
     return result
@@ -567,6 +580,7 @@ class JobManager:
                 "unknown-dataset",
                 f"dataset {spec.dataset!r} is not registered",
             )
+        spec = self.resolve_auto(spec)
         record = JobRecord(
             id=uuid.uuid4().hex[:12],
             spec=spec,
@@ -631,6 +645,36 @@ class JobManager:
             self._queue.append(record.id)
             self._lock.notify_all()
         return record
+
+    def resolve_auto(self, spec: JobSpec) -> JobSpec:
+        """Replace algorithm ``"auto"`` with a concrete algorithm.
+
+        A cached entry that dominates the thresholds answers whatever
+        algorithm mined it, so the algorithm of such an entry wins (the
+        planned one first, if it has one).  Otherwise the planner
+        (:func:`repro.plan.plan`) chooses from the registry's shape and
+        ones count, and its choice rides along in ``spec.plan``.
+        A concrete algorithm passes through, without any ``plan`` a
+        client sent along: only the planner writes one.
+        """
+        if spec.algorithm != "auto":
+            return spec if spec.plan is None else replace(spec, plan=None)
+        entry = self.registry.get(spec.dataset)
+        chosen = plan(entry.shape, entry.n_ones, spec.thresholds)
+        if spec.use_cache:
+            cached = {
+                algorithm
+                for algorithm, stored, _path in self.cache.entries(spec.dataset)
+                if stored.dominates(spec.thresholds)
+            }
+            if cached and chosen.algorithm not in cached:
+                return replace(spec, algorithm=min(cached), options={}, plan=None)
+        return replace(
+            spec,
+            algorithm=chosen.algorithm,
+            options=dict(chosen.options),
+            plan=chosen.to_dict(),
+        )
 
     # ------------------------------------------------------------------
     # Dispatch & supervision
@@ -837,9 +881,9 @@ class JobManager:
     def _quarantine(self, record: JobRecord, reason: str) -> None:
         """Move a poison job aside, with the evidence needed to replay it.
 
-        Quarantine is the last-resort containment path: it bypasses the
-        IO shim on purpose, so an injected fault can never keep a
-        poison job in the queue.
+        Quarantine is the last-resort containment path: it writes
+        through the fault-free ``_PLAIN_IO``, never the manager's shim,
+        so an injected fault can never keep a poison job in the queue.
         """
         source = self.root / record.id
         record.finished = time.time()
@@ -861,12 +905,12 @@ class JobManager:
         record_dict["status"] = "quarantined"
         try:
             source.mkdir(parents=True, exist_ok=True)
-            tmp = source / ".quarantine.json.tmp"
-            tmp.write_text(json.dumps(manifest, indent=2))
-            os.replace(tmp, source / "quarantine.json")
-            tmp = source / ".job.json.tmp"
-            tmp.write_text(json.dumps(record_dict, indent=2))
-            os.replace(tmp, source / "job.json")
+            _PLAIN_IO.atomic_write_text(
+                "jobs", source / "quarantine.json", json.dumps(manifest, indent=2)
+            )
+            _PLAIN_IO.atomic_write_text(
+                "jobs", source / "job.json", json.dumps(record_dict, indent=2)
+            )
             target_root = self.root / QUARANTINE_DIR
             target_root.mkdir(parents=True, exist_ok=True)
             target = target_root / record.id

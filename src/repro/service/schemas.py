@@ -89,11 +89,17 @@ class JobSpec:
     scratch (falling back to a fresh mine when the base result is
     unavailable).  The field is omitted from the wire form when unset,
     so pre-existing clients and persisted jobs parse unchanged.
+
+    ``algorithm`` defaults to ``"auto"``: the daemon replaces it with a
+    concrete algorithm once, at submit time and before the cache lookup
+    (:meth:`repro.service.jobs.JobManager.resolve_auto`), so records,
+    cache entries and maintenance jobs always name the algorithm that
+    ran.  ``"auto"`` takes no options.
     """
 
     dataset: str
     thresholds: Thresholds
-    algorithm: str = "cubeminer"
+    algorithm: str = "auto"
     options: dict = field(default_factory=dict)
     use_cache: bool = True
     checkpoint: bool = True
@@ -104,11 +110,20 @@ class JobSpec:
     #: property of the request, not an infrastructure fault).  Omitted
     #: from the wire form when unset.
     deadline_seconds: float | None = None
+    #: The planner's choice when the daemon resolved ``"auto"``
+    #: (:meth:`repro.plan.Plan.to_dict`); the worker copies it into the
+    #: result's ``stats.extra["plan"]``.  Omitted from the wire form
+    #: when unset.
+    plan: dict | None = None
 
     def validate(self) -> None:
         """Fail loudly on an unknown algorithm or malformed options."""
         get_algorithm(self.algorithm)  # raises ValueError on unknown names
-        options_from_dict(self.algorithm, self.options)
+        if self.algorithm == "auto":
+            if self.options:
+                raise ValueError("algorithm 'auto' takes no options")
+        else:
+            options_from_dict(self.algorithm, self.options)
         if self.deadline_seconds is not None and not self.deadline_seconds > 0:
             raise ValueError(
                 f"'deadline_seconds' must be positive, got {self.deadline_seconds!r}"
@@ -137,6 +152,8 @@ class JobSpec:
             payload["maintain"] = dict(self.maintain)
         if self.deadline_seconds is not None:
             payload["deadline_seconds"] = self.deadline_seconds
+        if self.plan is not None:
+            payload["plan"] = dict(self.plan)
         return payload
 
     @classmethod
@@ -163,15 +180,19 @@ class JobSpec:
                 raise ValueError(
                     f"'deadline_seconds' must be a number, got {deadline!r}"
                 ) from None
+        plan = payload.get("plan")
+        if plan is not None and not isinstance(plan, dict):
+            raise ValueError(f"'plan' must be a JSON object, got {plan!r}")
         return cls(
             dataset=dataset,
             thresholds=Thresholds.from_dict(raw_thresholds),
-            algorithm=str(payload.get("algorithm", "cubeminer")),
+            algorithm=str(payload.get("algorithm", "auto")),
             options=dict(options),
             use_cache=bool(payload.get("use_cache", True)),
             checkpoint=bool(payload.get("checkpoint", True)),
             maintain=dict(maintain) if maintain is not None else None,
             deadline_seconds=deadline,
+            plan=dict(plan) if plan is not None else None,
         )
 
 

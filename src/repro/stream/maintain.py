@@ -32,22 +32,33 @@ result is bit-identical (same canonical cube list) to a fresh
 ``mine()`` of ``O'`` — the property the hypothesis differential suite
 in ``tests/test_stream_maintain.py`` checks on random batches.
 
-Cost: pass 2 re-mines every height subset that meets ``D``, so
-maintenance pays only when few heights are dirty.  A height drop
-dirties none (pass 1 alone), and cell edits confined to one height
-re-mine the subsets through it, about half of them
-(``BENCH_stream.json``: ~1.7x faster than a fresh mine).  Edits spread
-over many heights do not pay: 8 cell edits on a 14 x 9 x 250 planted
-tensor (perfbench's service-session input) dirty 7 of 14 heights and
-re-mine 16,249 of its 16,369 subsets, and ``maintain()`` takes 1.2 s of
-CPU against 0.3 s for a fresh RSM-R mine of the edited tensor (Xeon, one
-core, python-int kernel).  Row/column structure edits dirty every
-height: a full re-mine by construction.
+Cost, and the re-mine fallback: pass 2 re-mines every height subset
+of feasible size that meets ``D``, so patching pays only when few
+heights are dirty.  A height drop dirties none (pass 1 alone), and
+cell edits confined to one height re-mine the subsets through it, about
+half of them (``BENCH_stream.json``: ~1.7x faster than a fresh RSM-H
+mine).  Edits spread over many heights do not pay: 8 cell edits on a
+14 x 9 x 250 planted tensor (perfbench's service-session input) dirty 7
+of 14 heights, and pass 2 would re-mine 16,249 of its 16,369 subsets —
+1.85 s against 0.38 s for a fresh RSM-R mine of the edited tensor.
+Row/column structure edits dirty every height.  So before touching the
+old result, :func:`choose_path` prices both paths with one cost
+model (:mod:`repro.plan`): patching costs the share of height subsets
+that pass 2 would re-mine times the estimate for RSM over heights, and
+re-mining costs :func:`repro.plan.plan`'s estimate for the edited
+tensor.  When patching costs more, :func:`remine` mines ``O'`` with
+the planned algorithm and the old result is never read, so a caller
+that holds it serialized (the service's maintenance job) skips the
+decode too.  An input outside the cost model's fit gets no estimate
+and patches, as it did before the model existed.  ``stats.extra["stream"]["path"]``
+says which path ran, and ``stats.extra["plan"]`` holds both estimates.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from math import comb
 
 from ..core.bitset import bit_count
 from ..core.closure import LaneClosure
@@ -58,10 +69,11 @@ from ..core.result import MiningResult, MiningStats
 from ..fcp import FCPMiner, get_fcp_miner
 from ..obs.metrics import MiningMetrics
 from ..parallel.sharding import merge_shard_results
+from ..plan import Plan, feasible_sizes, plan
 from ..rsm.slices import iter_size_slices
 from .delta import Delta, DeltaApplication, apply_deltas
 
-__all__ = ["maintain", "IncrementalMaintainer"]
+__all__ = ["maintain", "choose_path", "patch", "remine", "IncrementalMaintainer"]
 
 
 def _remap(mask: int, index_map: tuple) -> int:
@@ -110,28 +122,117 @@ def maintain(
         thresholds = result.thresholds
     if thresholds is None:
         raise ValueError("thresholds are required (argument or result metadata)")
+    start = time.perf_counter()
+    if metrics is None:
+        metrics = MiningMetrics()
+    application = apply_deltas(dataset, deltas)
+    path, chosen = choose_path(application, thresholds)
+    if path == "remine":
+        updated = remine(application, thresholds, chosen, metrics=metrics)
+    else:
+        updated = patch(
+            application, result, thresholds, fcp_miner=fcp_miner, metrics=metrics
+        )
+    updated.stats.extra["plan"] = chosen.to_dict()
+    updated.elapsed_seconds = time.perf_counter() - start
+    return application.dataset, updated
+
+
+def choose_path(
+    application: DeltaApplication, thresholds: Thresholds
+) -> tuple[str, Plan]:
+    """``("patch" | "remine", plan)`` for bringing a result forward.
+
+    Prices patching against :func:`repro.plan.plan`'s estimate for the
+    edited tensor (module docstring) from the delta application alone,
+    so the old result is not needed.  ``plan`` is the edited tensor's
+    plan, which :func:`remine` mines with; its features gain
+    ``patch_subsets`` and ``patch_est_s``.  A plan without an estimate
+    (an input outside the cost model's domain) patches.
+    """
+    new = application.dataset
+    chosen = plan(new.shape, new.count_ones(), thresholds)
+    estimates = chosen.features.get("est_s", {})
+    pass2 = _pass2_subsets(new.shape, bit_count(application.dirty_heights), thresholds)
+    if pass2 == 0:
+        patch_est = 0.0
+    elif "rsm-height" in estimates:
+        heights_total = chosen.features["subsets"]["height"]
+        patch_est = pass2 / heights_total * estimates["rsm-height"]
+    else:
+        patch_est = math.inf
+    chosen.features["patch_subsets"] = pass2
+    chosen.features["patch_est_s"] = (
+        round(patch_est, 6) if math.isfinite(patch_est) else None
+    )
+    if chosen.est_cost is not None and patch_est > chosen.est_cost:
+        return "remine", chosen
+    return "patch", chosen
+
+
+def _pass2_subsets(
+    shape: tuple[int, int, int], n_dirty: int, thresholds: Thresholds
+) -> int:
+    """How many height subsets pass 2 would re-mine: those of feasible
+    size that meet the ``n_dirty`` dirty heights."""
+    if n_dirty == 0 or not thresholds.feasible_for_shape(shape):
+        return 0
+    l, n, m = shape
+    sizes = feasible_sizes(l, thresholds.min_h, n * m, thresholds.min_volume)
+    return sum(comb(l, k) - comb(l - n_dirty, k) for k in sizes)
+
+
+def _stream_tag(algorithm: str) -> str:
+    if algorithm.startswith("stream[") and algorithm.endswith("]"):
+        algorithm = algorithm[len("stream[") : -1]
+    return f"stream[{algorithm}]"
+
+
+def remine(
+    application: DeltaApplication,
+    thresholds: Thresholds,
+    chosen: Plan,
+    *,
+    metrics: "MiningMetrics | None" = None,
+) -> MiningResult:
+    """Mine the edited tensor fresh with the planned algorithm."""
+    from ..api import mine
+    from ..options import options_from_dict
+
+    if metrics is None:
+        metrics = MiningMetrics()
+    metrics.deltas_applied += application.n_deltas
+    fresh = mine(
+        application.dataset,
+        thresholds,
+        algorithm=chosen.algorithm,
+        options=options_from_dict(chosen.algorithm, chosen.options),
+        metrics=metrics,
+    )
+    fresh.algorithm = _stream_tag(fresh.algorithm)
+    fresh.stats.extra["stream"] = {
+        "path": "remine",
+        "deltas_applied": application.n_deltas,
+        "dirty_heights": bit_count(application.dirty_heights),
+        "cubes_patched": 0,
+        "subsets_remined": 0,
+    }
+    return fresh
+
+
+def patch(
+    application: DeltaApplication,
+    result: MiningResult,
+    thresholds: Thresholds,
+    *,
+    fcp_miner: "str | FCPMiner" = "dminer",
+    metrics: "MiningMetrics | None" = None,
+) -> MiningResult:
+    """Pass 1 and pass 2 (module docstring), whatever the cost."""
     miner = get_fcp_miner(fcp_miner) if isinstance(fcp_miner, str) else fcp_miner
     if metrics is None:
         metrics = MiningMetrics()
-    start = time.perf_counter()
-
-    application = apply_deltas(dataset, deltas)
     new = application.dataset
-    updated = _maintain_applied(
-        new, result, application, thresholds, miner, metrics, start
-    )
-    return new, updated
-
-
-def _maintain_applied(
-    new: Dataset3D,
-    result: MiningResult,
-    application: DeltaApplication,
-    thresholds: Thresholds,
-    miner: FCPMiner,
-    metrics: MiningMetrics,
-    start: float,
-) -> MiningResult:
     dirty = application.dirty_heights
     metrics.deltas_applied += application.n_deltas
     cubes_patched = 0
@@ -162,9 +263,9 @@ def _maintain_applied(
     min_h, min_r, min_c = thresholds.as_tuple()
     if dirty and thresholds.feasible_for_shape(new.shape):
         slice_cells = new.n_rows * new.n_columns
-        for size in range(max(min_h, 1), new.n_heights + 1):
-            if size * slice_cells < thresholds.min_volume:
-                continue
+        for size in feasible_sizes(
+            new.n_heights, min_h, slice_cells, thresholds.min_volume
+        ):
             for heights, rs in iter_size_slices(new, size):
                 if heights & dirty == 0:
                     continue
@@ -181,19 +282,16 @@ def _maintain_applied(
     metrics.rs_slices_mined += subsets_remined
 
     kept = merge_shard_results(new, thresholds, sorted(triples), metrics=metrics)
-    base = result.algorithm
-    if base.startswith("stream[") and base.endswith("]"):
-        base = base[len("stream[") : -1]
     return MiningResult(
         cubes=[Cube(*triple) for triple in kept],
-        algorithm=f"stream[{base}]",
+        algorithm=_stream_tag(result.algorithm),
         thresholds=thresholds,
         dataset_shape=new.shape,
-        elapsed_seconds=time.perf_counter() - start,
         stats=MiningStats(
             metrics=metrics,
             extra={
                 "stream": {
+                    "path": "patch",
                     "deltas_applied": application.n_deltas,
                     "dirty_heights": bit_count(dirty),
                     "cubes_patched": cubes_patched,

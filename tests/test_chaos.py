@@ -471,7 +471,7 @@ class TestRecoverRaces:
         cache = ThresholdLatticeCache(data_dir / "cache")
         dataset = small_dataset()
         fp = registry.register(dataset).fingerprint
-        spec = JobSpec(dataset=fp, thresholds=Thresholds(1, 2, 2))
+        spec = JobSpec(dataset=fp, thresholds=Thresholds(1, 2, 2), algorithm="cubeminer")
         job_id = "deadbeef0001"
         job_dir = data_dir / "jobs" / job_id
         job_dir.mkdir(parents=True)

@@ -73,7 +73,8 @@ class TestMine:
         assert "h1h2h3 : r1r3 : c1c2c3" in out
 
     @pytest.mark.parametrize(
-        "algorithm", ["cubeminer", "rsm", "reference", "parallel-cubeminer", "parallel-rsm"]
+        "algorithm",
+        ["cubeminer", "rsm", "reference", "parallel-cubeminer", "parallel-rsm", "auto"],
     )
     def test_every_algorithm(self, dataset_file, capsys, algorithm):
         assert main([

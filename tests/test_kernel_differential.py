@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import mine
 from repro.core import reference_mine
 from repro.core.constraints import Thresholds
 from repro.core.kernels import available_kernels
@@ -164,6 +165,19 @@ def test_rsm_oracle_matches_baseline(kernel, shape, density, mins, seed):
         dataset.with_kernel(kernel), thresholds, fcp_miner=_OracleMiner()
     )
     assert result.cubes == expected
+
+
+@pytest.mark.parametrize("kernel", ALL_KERNELS)
+@pytest.mark.parametrize("shape,density,mins,seed", GRID)
+def test_auto_matches_baseline(kernel, shape, density, mins, seed):
+    dataset = _dataset(shape, density, seed)
+    thresholds = Thresholds(*mins)
+    expected = _baseline_cubes(
+        dataset, thresholds, lambda ds: cubeminer_mine(ds, thresholds), "cubeminer"
+    )
+    result = mine(dataset.with_kernel(kernel), thresholds, algorithm="auto")
+    assert result.cubes == expected
+    assert result.stats.extra["plan"]["algorithm"] in ("cubeminer", "rsm")
 
 
 # ----------------------------------------------------------------------

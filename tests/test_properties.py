@@ -90,6 +90,13 @@ def test_rsm_equals_oracle(case):
     assert rsm_mine(ds, th).same_cubes(reference_mine(ds, th))
 
 
+@settings(max_examples=60, deadline=None)
+@given(tensor_with_thresholds())
+def test_auto_equals_oracle(case):
+    ds, th = case
+    assert mine(ds, th, algorithm="auto").same_cubes(reference_mine(ds, th))
+
+
 @settings(max_examples=40, deadline=None)
 @given(tensor_with_thresholds(), st.sampled_from(list(HeightOrder)))
 def test_cubeminer_order_invariance(case, order):

@@ -291,7 +291,7 @@ class TestDonePublishOrder:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert cache.stored.is_set()
-            assert cache.lookup(fp, "cubeminer", thresholds) is not None
+            assert cache.lookup(fp, record.spec.algorithm, thresholds) is not None
         finally:
             cache.release.set()
             manager.shutdown()
@@ -430,10 +430,11 @@ class TestRestartResume:
         fp = registry.register(dataset).fingerprint
         manager.shutdown()  # no dispatching from here on
 
-        # Persist a queued job by hand, as the dead daemon left it.
+        # Persist a queued job by hand, as the dead daemon left it (the
+        # daemon persists specs with "auto" already resolved).
         record_dir = tmp_path / "jobs" / "feedc0ffee01"
         record_dir.mkdir(parents=True)
-        spec = JobSpec(dataset=fp, thresholds=Thresholds(1, 1, 1))
+        spec = JobSpec(dataset=fp, thresholds=Thresholds(1, 1, 1), algorithm="cubeminer")
         (record_dir / "job.json").write_text(
             json.dumps(
                 {

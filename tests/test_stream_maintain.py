@@ -3,9 +3,11 @@
 The hypothesis differential below is the subsystem's load-bearing
 guarantee: for arbitrary small tensors and arbitrary *valid* delta
 sequences — cell flips plus slice appends/drops on every axis —
-patching the old result through :func:`repro.stream.maintain` yields
-exactly the cube list a fresh RSM mine of the edited tensor returns,
-on both kernels.
+:func:`repro.stream.maintain` yields exactly the cube list a fresh RSM
+mine of the edited tensor returns, on both kernels.  ``maintain`` may
+re-mine instead of patching when that is cheaper, so the differential
+also runs the patch pass itself on every example: the fallback cannot
+hide a patch bug.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from repro.api import mine
 from repro.core.constraints import Thresholds
 from repro.core.dataset import Dataset3D
-from repro.datasets import random_tensor
+from repro.datasets import planted_tensor, random_tensor
 from repro.obs.metrics import MiningMetrics
 from repro.rsm.postprune import height_closed_in
 from repro.stream import (
@@ -29,6 +31,7 @@ from repro.stream import (
     DropSlice,
     IncrementalMaintainer,
     SetCell,
+    apply_deltas,
     maintain,
 )
 from tests.conftest import record_lemma1
@@ -95,6 +98,8 @@ def test_maintain_equals_fresh_mine(kernel, data):
     assert _keys(maintained) == _keys(fresh)
     assert maintained.thresholds == thresholds
     assert maintained.dataset_shape == new_dataset.shape
+    patched = maintain_module.patch(apply_deltas(dataset, deltas), base, thresholds)
+    assert _keys(patched) == _keys(fresh)
 
 
 @settings(max_examples=20, deadline=None)
@@ -106,6 +111,8 @@ def test_maintain_with_volume_constraint(data):
     new_dataset, maintained = maintain(dataset, base, deltas, thresholds)
     fresh = mine(new_dataset, thresholds, algorithm="rsm")
     assert _keys(maintained) == _keys(fresh)
+    patched = maintain_module.patch(apply_deltas(dataset, deltas), base, thresholds)
+    assert _keys(patched) == _keys(fresh)
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +190,13 @@ def test_metrics_counters_and_stream_extra():
     assert metrics.cubes_patched >= 1
     assert metrics.subsets_remined >= 1
     stream = maintained.stats.extra["stream"]
+    # The tensor lies outside the cost model's domain, so the plan has
+    # no estimate and maintenance patches.
+    assert stream["path"] == "patch"
+    chosen = maintained.stats.extra["plan"]
+    assert chosen["algorithm"] == "cubeminer"
+    assert chosen["est_cost"] is None
+    assert chosen["features"]["in_domain"] is False
     assert stream["deltas_applied"] == 1
     assert stream["dirty_heights"] == 1
     assert stream["cubes_patched"] == metrics.cubes_patched
@@ -208,7 +222,9 @@ def test_remine_postprune_matches_the_kernel_sweep(monkeypatch, min_volume):
     ]
     answers = record_lemma1(monkeypatch, maintain_module)
     metrics = MiningMetrics()
-    new_ds, maintained = maintain(ds, base, deltas, th, metrics=metrics)
+    application = apply_deltas(ds, deltas)
+    new_ds = application.dataset
+    maintained = maintain_module.patch(application, base, th, metrics=metrics)
     assert True in answers and False in answers
     assert _keys(maintained) == _keys(mine(new_ds, th, algorithm="rsm"))
     for cube in maintained:
@@ -233,3 +249,32 @@ def test_maintain_without_thresholds_anywhere_raises():
     for delta in (SetCell(0, 0, 0), AppendSlice("height", np.ones((8, 10), dtype=int))):
         with pytest.raises(ValueError, match="thresholds"):
             maintain(ds, stripped, [delta])
+
+
+def test_batch_dirtying_most_heights_remines_without_reading_the_base():
+    """Edits on 10 of 14 heights leave pass 2 nearly every height subset;
+    on the perfbench tensor family, RSM over its 9 rows is far cheaper,
+    so maintenance re-mines, and the choice needs no old result."""
+    ds = planted_tensor(
+        (14, 9, 250), n_blocks=6, block_shape=(4, 4, 30),
+        background_density=0.6, seed=0,
+    ).dataset
+    th = Thresholds(3, 4, 14, min_volume=200)
+    deltas = [
+        (SetCell if not ds.data[k, 0, k] else ClearCell)(k, 0, k) for k in range(10)
+    ]
+    application = apply_deltas(ds, deltas)
+    path, chosen = maintain_module.choose_path(application, th)
+    assert path == "remine"
+    assert chosen.features["patch_est_s"] > chosen.est_cost
+
+    new_dataset, maintained = maintain(ds, mine(ds, th, algorithm="rsm"), deltas, th)
+    stream = maintained.stats.extra["stream"]
+    assert stream["path"] == "remine"
+    assert stream["subsets_remined"] == 0
+    assert maintained.stats.extra["plan"]["algorithm"] == chosen.algorithm
+    assert maintained.algorithm.startswith("stream[")
+    assert maintained.stats.extra["plan"]["options"] == {"base_axis": "row"}
+    fresh = mine(new_dataset, th, algorithm="rsm")
+    assert _keys(maintained) == _keys(fresh)
+

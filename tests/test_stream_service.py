@@ -114,6 +114,78 @@ class TestUpdatesEndpoint:
         ]
         assert any(e.get("kind") == "maintain-done" for e in events)
 
+    def test_auto_job_resolves_before_the_cache_and_follows_updates(self, app):
+        ds = small_dataset()
+        th = Thresholds(2, 2, 2)
+        fp = post(app, "/v1/datasets", dataset_to_payload(ds)).payload[
+            "fingerprint"
+        ]
+        # No "algorithm": the service default is "auto", resolved at submit.
+        record = post(
+            app, "/v1/jobs", {"dataset": fp, "thresholds": th.to_dict()}
+        ).payload
+        resolved = record["spec"]["algorithm"]
+        assert resolved in ("cubeminer", "rsm")
+        assert record["spec"]["plan"]["algorithm"] == resolved
+        assert wait_done(app, record["id"])["status"] == "done"
+        result = get(app, f"/v1/jobs/{record['id']}/result").payload["result"]
+        assert result["stats"]["extra"]["plan"] == record["spec"]["plan"]
+
+        # One cache line, under the resolved algorithm, answers both an
+        # "auto" query and an explicit one for that algorithm.
+        for algorithm in ({}, {"algorithm": "auto"}, {"algorithm": resolved}):
+            query = post(
+                app,
+                "/v1/query",
+                {"dataset": fp, "thresholds": th.to_dict(), **algorithm},
+            )
+            assert query.status == 200, algorithm
+        tighter = Thresholds(2, 3, 3)
+        assert post(
+            app, "/v1/query", {"dataset": fp, "thresholds": tighter.to_dict()}
+        ).status == 200
+
+        # The update's maintenance job inherits the entry's algorithm, and
+        # the successor's "auto" query is a cache hit.
+        doc = post(app, f"/v1/datasets/{fp}/updates", {"deltas": DELTAS}).payload
+        (maintenance,) = doc["jobs"]
+        assert maintenance["spec"]["algorithm"] == resolved
+        assert wait_done(app, maintenance["id"])["status"] == "done"
+        maintained = get(app, f"/v1/jobs/{maintenance['id']}/result").payload
+        assert maintained["result"]["stats"]["extra"]["stream"]["path"] in (
+            "patch",
+            "remine",
+        )
+        query = post(
+            app,
+            "/v1/query",
+            {"dataset": doc["fingerprint"], "thresholds": th.to_dict()},
+        )
+        assert query.status == 200
+        served = MiningResult.from_payload(query.payload["result"])
+        edited = np.array(ds.data, dtype=bool)
+        edited[0, 0, 0] = True
+        edited[2, 5, 5] = False
+        assert cube_keys(served) == cube_keys(
+            mine(Dataset3D(edited), th, algorithm="rsm")
+        )
+
+    def test_auto_takes_no_options(self, app):
+        fp = post(app, "/v1/datasets", dataset_to_payload(small_dataset())).payload[
+            "fingerprint"
+        ]
+        response = post(
+            app,
+            "/v1/jobs",
+            {
+                "dataset": fp,
+                "thresholds": Thresholds(2, 2, 2).to_dict(),
+                "options": {"base_axis": "row"},
+            },
+        )
+        assert response.status == 400
+        assert "takes no options" in response.payload["error"]["message"]
+
     def test_update_journals_the_delta_log(self, app):
         ds = small_dataset()
         fp = post(app, "/v1/datasets", dataset_to_payload(ds)).payload[
